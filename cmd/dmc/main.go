@@ -265,10 +265,9 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			MinOutage:     1,
 			MaxOutage:     4,
 		}
-		if fcfg.Noop() {
-			// A schedule that can never fire would still force serial
-			// delivery and the ARQ adapter's overhead; say so and run the
-			// ordinary path instead.
+		if fcfg.Quiet() {
+			// A schedule that can never fire would still cost the ARQ
+			// adapter's overhead; say so and run the ordinary path instead.
 			fmt.Fprintf(report, "faults: schedule is a no-op (all rates zero); running fault-free\n")
 			*faultsOn = false
 		} else if !*multiproc {

@@ -171,7 +171,7 @@ func TestWorkersAloneMatchesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != plain {
-		t.Fatalf("worker-pool run diverged from serial delivery:\n  got:\n%s\n  want:\n%s", got, plain)
+		t.Fatalf("worker-pool run diverged from the sequential run:\n  got:\n%s\n  want:\n%s", got, plain)
 	}
 }
 

@@ -107,8 +107,8 @@ type Env struct {
 	PortWeight []int64
 	PortLabels []map[string]bool
 
-	// kind is the node's current message tag, set via Tag. It is read by
-	// the simulator's (serial) delivery loop only.
+	// kind is the node's current message tag, set via Tag. In a traced run
+	// the node's shard reads it when it emits the node's messages.
 	kind string
 }
 
@@ -170,16 +170,23 @@ type FaultPlan struct {
 	DupDelay int
 }
 
+// add accumulates another shard's counters.
+func (f *FaultStats) add(o FaultStats) {
+	f.Dropped += o.Dropped
+	f.Duplicated += o.Duplicated
+	f.Delayed += o.Delayed
+	f.Lost += o.Lost
+	f.CrashRounds += o.CrashRounds
+}
+
 // FaultInjector decides the fate of every message and the up/down state of
-// every node. Implementations must be deterministic functions of their own
-// seeded state: the engine calls RunStart once per run, RoundStart serially
-// at the top of every round, OnSend serially in global sender-vertex
-// delivery order, and NodeDown as a pure lookup (it may be called
-// concurrently after RoundStart returns). Vertices, not IDs, identify
-// endpoints so a schedule is independent of the ID permutation.
-//
-// Installing an injector routes delivery through the engine's serial pass
-// (like a Tracer), so the injected fault stream is identical for any
+// every node. The engine calls RunStart once per run, and RoundStart then
+// NodeDown serially at the top of every round; it calls OnSend
+// concurrently from its delivery shards, in no fixed order, so OnSend must
+// be a pure function of its arguments and the state RoundStart left.
+// Vertices, not IDs, identify endpoints so a schedule is independent of the
+// ID permutation. Because OnSend is keyed by the message rather than by
+// call order, the injected fault stream is identical for any
 // Options.Workers value.
 type FaultInjector interface {
 	// RunStart resets the injector for an n-vertex run (re-seeding any
@@ -194,8 +201,27 @@ type FaultInjector interface {
 	// stable memory). Round 0 (Init) is never down.
 	NodeDown(round, vertex int) bool
 	// OnSend plans the fate of one message from vertex `from` to vertex
-	// `to` in the given round.
-	OnSend(round, from, to int) FaultPlan
+	// `to` in the given round; seq is the message's index among everything
+	// `from` sent that round, so (round, from, seq) identifies it.
+	OnSend(round, from, to, seq int) FaultPlan
+}
+
+// KeyedDraw hashes (seed, round, a, b, lane) to a uniform float64 in [0, 1)
+// with splitmix64's finalizer. A fault decision built on it is a pure
+// function of what it concerns, so any shard may evaluate it in any order:
+// the engine's bit corruption and faults.Injector key messages by
+// (sender, seq), faults.FrameInjector keys frames by (source, destination
+// shard). Independent decisions about one key use distinct lanes.
+func KeyedDraw(seed int64, round, a, b int, lane uint64) float64 {
+	z := uint64(seed) ^
+		uint64(round)*0x9E3779B97F4A7C15 ^
+		uint64(a)*0xBF58476D1CE4E5B9 ^
+		uint64(b)*0x94D049BB133111EB
+	z += lane
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }
 
 // Options configure a simulation.
@@ -212,8 +238,8 @@ type Options struct {
 	// Unbounded disables the bandwidth check (diagnostics only).
 	Unbounded bool
 	// CorruptProb flips one random bit in each delivered message with this
-	// probability (fault injection for robustness testing); CorruptSeed
-	// seeds the fault source.
+	// probability (fault injection for robustness testing). The draws are
+	// KeyedDraw hashes of (CorruptSeed, round, sender, seq).
 	CorruptProb float64
 	CorruptSeed int64
 	// Parallel executes node programs concurrently within each round on a
@@ -227,17 +253,16 @@ type Options struct {
 	// GOMAXPROCS. The value never affects results, only scheduling.
 	Workers int
 	// Tracer observes the run at round and message granularity (nil
-	// disables tracing at no measurable cost). Hooks run on the delivery
-	// loop, serially and in sender-vertex order, in both execution modes:
-	// when a Tracer is installed (or CorruptProb is nonzero) the engine
-	// routes messages on its serial path so event order and the fault
-	// stream stay deterministic, while node programs still execute on the
-	// worker pool.
+	// disables tracing at no measurable cost). Installing one does not
+	// change how the run executes: delivery shards buffer their events, and
+	// the engine replays them at the end of each round in sender-vertex
+	// order (see ReplayRound), so the event stream is identical for any
+	// Workers value.
 	Tracer Tracer
 	// Injector subjects the run to message drops, duplication, delays, and
-	// node crashes (nil means a fault-free network). Like a Tracer, an
-	// installed injector routes delivery through the serial pass so the
-	// fault stream is deterministic at any worker count.
+	// node crashes (nil means a fault-free network). Message faults are
+	// decided in the parallel delivery phase by OnSend, keyed by message;
+	// crash draws run serially at the top of each round.
 	Injector FaultInjector
 	// Context, when non-nil, cancels the simulation: the engine checks it at
 	// every round barrier and returns ctx.Err() (wrapped in ErrCanceled)
@@ -336,10 +361,6 @@ func newCSR(g *graph.Graph) *csrAdj {
 // degree returns the number of ports of v.
 func (c *csrAdj) degree(v int) int { return int(c.off[v+1] - c.off[v]) }
 
-// ports returns the neighbor vertices of v, one per port, in port order.
-// The returned slice aliases the shared CSR and must not be modified.
-func (c *csrAdj) ports(v int32) []int32 { return c.nbr[c.off[v]:c.off[v+1]] }
-
 // Simulator runs a Node program on every vertex of a graph.
 type Simulator struct {
 	g        *graph.Graph
@@ -423,32 +444,39 @@ func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScrat
 	n := s.g.NumVertices()
 	bandwidth := s.opts.bandwidth(n)
 
-	// Node views are built on flat arenas: one Env array for all vertices and
-	// one backing slice per port-indexed field, sliced per vertex along the
-	// CSR offsets. This replaces 3n+1 small allocations with 4 large ones and
-	// keeps every vertex's view contiguous with its neighbors'. The label-name
-	// lists are hoisted out of the loop (each call sorts a fresh copy), and
-	// per-port label maps are only materialized when the graph actually
-	// carries edge labels — readers index PortLabels[p][name], and a nil map
-	// reads as all-false, so the slice of nil maps is the cheap common case.
-	ports := int(s.csr.off[n])
 	nodes := make([]Node, n)
-	envs := make([]*Env, n)
-	envArr := make([]Env, n)
+	for v := range nodes {
+		nodes[v] = factory(v)
+	}
+	envs := s.buildEnvs(0, n, bandwidth)
+	return newEngine(s, nodes, envs, bandwidth, scratch)
+}
+
+// buildEnvs builds the node-local views for vertices [lo, hi) — the whole
+// graph for startRun, one range for a SubEngine — on flat arenas: one Env
+// array and one backing slice per port-indexed field, sliced per vertex
+// along the CSR offsets, instead of 3n+1 small allocations. Per-port label
+// maps are only materialized when the graph carries edge labels; readers
+// index PortLabels[p][name], and a nil map reads as all-false.
+func (s *Simulator) buildEnvs(lo, hi, bandwidth int) []*Env {
+	n := s.g.NumVertices()
+	base := s.csr.off[lo]
+	ports := int(s.csr.off[hi] - base)
+	envs := make([]*Env, hi-lo)
+	envArr := make([]Env, hi-lo)
 	nbrIDArena := make([]int, ports)
 	weightArena := make([]int64, ports)
 	labelArena := make([]map[string]bool, ports)
 	vertexLabelNames := s.g.VertexLabelNames()
 	edgeLabelNames := s.g.EdgeLabelNames()
-	for v := 0; v < n; v++ {
-		nodes[v] = factory(v)
-		lo, hi := s.csr.off[v], s.csr.off[v+1]
-		nbrIDs := nbrIDArena[lo:hi:hi]
-		portWeight := weightArena[lo:hi:hi]
-		portLabels := labelArena[lo:hi:hi]
-		for p := int32(0); p < hi-lo; p++ {
-			nbrIDs[p] = s.ids[s.csr.nbr[lo+p]]
-			eid := int(s.csr.edge[lo+p])
+	for v := lo; v < hi; v++ {
+		plo, phi := s.csr.off[v]-base, s.csr.off[v+1]-base
+		nbrIDs := nbrIDArena[plo:phi:phi]
+		portWeight := weightArena[plo:phi:phi]
+		portLabels := labelArena[plo:phi:phi]
+		for p := int32(0); p < phi-plo; p++ {
+			nbrIDs[p] = s.ids[s.csr.nbr[base+plo+p]]
+			eid := int(s.csr.edge[base+plo+p])
 			portWeight[p] = s.g.EdgeWeight(eid)
 			if len(edgeLabelNames) > 0 {
 				labels := make(map[string]bool, len(edgeLabelNames))
@@ -469,9 +497,9 @@ func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScrat
 				}
 			}
 		}
-		envArr[v] = Env{
+		envArr[v-lo] = Env{
 			ID:          s.ids[v],
-			Degree:      int(hi - lo),
+			Degree:      int(phi - plo),
 			NeighborIDs: nbrIDs,
 			Bandwidth:   bandwidth,
 			N:           n,
@@ -480,8 +508,7 @@ func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScrat
 			PortWeight:  portWeight,
 			PortLabels:  portLabels,
 		}
-		envs[v] = &envArr[v]
+		envs[v-lo] = &envArr[v-lo]
 	}
-
-	return newEngine(s, nodes, envs, bandwidth, scratch)
+	return envs
 }

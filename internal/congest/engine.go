@@ -3,67 +3,75 @@ package congest
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
+
+	"repro/internal/congest/transport"
 )
 
 // This file is the simulator's execution engine: a sharded pipeline that
 // runs node programs and routes their messages round by round.
 //
-// Vertices are partitioned into contiguous shards. Each round proceeds in
-// phases separated by barriers:
+// Vertices are partitioned into contiguous shards. Each round runs two
+// phases per shard, separated by one barrier:
 //
-//  1. compute:  every shard runs Round() for its active (non-halted)
-//     vertices and records their outboxes.
-//  2. route:    sender shards validate outboxes (port range, single-message
-//     size, and the aggregate per-(sender, port) bandwidth cap), copy
-//     payloads into a per-shard arena, and bucket them by receiver shard;
-//     receiver shards then merge their buckets in sender-shard order —
-//     which, because shards are contiguous vertex ranges, is exactly
-//     global sender-vertex order. Sequential and parallel execution are
-//     therefore bit-identical, for any worker or shard count.
-//  3. halt:     newly halted vertices are removed from the active lists, so
-//     late rounds touch only the vertices still running.
+//  1. send:    the shard runs Round() (Init in round 0) for its active
+//     vertices, then emit validates each outbox in sender-vertex order (port
+//     range, single-message size, the aggregate per-(sender, port) bandwidth
+//     cap), copies payloads into the shard's arena, numbers each sender's
+//     messages with a per-round seq, and buckets them by receiver shard.
+//  2. deliver: each receiver shard flushes fault-delayed copies that are
+//     due, merges its buckets in sender-shard order — which, because shards
+//     are contiguous vertex ranges, is global sender-vertex order — applies
+//     the drop rule, the fault plan and corruption, counts stats, buffers
+//     trace and fault events, and then compacts its newly halted vertices.
+//
+// Sequential and parallel runs, traced or not, faulted or not, execute the
+// same code: every fault decision is a pure function of the message's
+// (round, sender, seq) key, and buffered trace events are replayed after the
+// round in (sender, seq) order by ReplayRound, so results and traces are
+// bit-identical for any worker or shard count. A SubEngine is one shard of
+// this engine whose buckets travel over the wire instead of to sibling
+// shards; the multi-process coordinator merges its events with the same
+// ReplayRound.
 //
 // When Options.Parallel is set the per-shard phases execute on a persistent
 // worker pool (spawned once per run, not per round); otherwise they run
-// inline on the same code path. When a Tracer is installed or fault
-// injection is active, routing falls back to a single serial pass in
-// sender-vertex order so that trace events and the corruption RNG observe
-// the exact, documented delivery order (node programs still run sharded).
+// inline. Only crash draws (FaultInjector.RoundStart/NodeDown) run serially,
+// at the top of the round.
 //
-// Hot-path allocations are avoided by reusing inboxes and payload arenas:
-// both are double-buffered by round parity, because messages delivered in
-// round r are read by node programs in round r+1 while round r+1's sends
-// are being written.
+// Hot-path allocations are avoided by reusing inboxes and payload arenas.
+// Sender arenas are double-buffered by round parity, because a shard emits
+// round r+1's payloads while other shards' node programs still read the
+// payloads delivered in round r.
 
-// routed is one validated message en route to a receiver vertex.
-type routed struct {
-	from    int32 // sender vertex
-	to      int32 // receiver vertex
-	port    int32 // receiver port
-	payload Message
-}
-
-// delayedMsg is a validated message an injector deferred: it leaves the
-// shared arena (the copy is owned) and is flushed into the inbox generation
-// of its due round.
+// delayedMsg is a validated message an injector deferred: it owns a copy of
+// its payload and waits in its receiver shard's queue until round due.
 type delayedMsg struct {
-	due     int
-	from    int32
-	to      int32
-	port    int32
-	payload []byte
+	due  int
+	sent int // the round it was sent in, its trace-merge key
+	m    transport.Msg
 }
 
-// shard owns a contiguous vertex range [lo, hi) and all per-shard scratch.
+// shard owns a contiguous vertex range [lo, hi) and all per-shard state.
+// Vertex-indexed slices are shard-local (index v-lo); in-process they are
+// views of engine-wide scratch arrays, in a SubEngine the shard owns them.
 type shard struct {
 	lo, hi int
 	// active lists the shard's non-halted vertices in ascending order.
 	active []int32
-	// routes[t] buffers messages from this (sender) shard to receiver
-	// shard t, in sender-vertex order; reused across rounds.
-	routes [][]routed
+
+	nodes         []Node
+	envs          []*Env
+	outs          [][]Outgoing
+	halted, dones []bool
+	down          []bool // nil unless a FaultInjector is installed
+	// inboxes is double-buffered by round parity: delivery in round r fills
+	// inboxes[r&1], which node programs read (and truncate) in round r+1.
+	inboxes [2][][]Incoming
+
+	// Sender side. routes[t] buffers this shard's messages to receiver shard
+	// t, in sender-vertex and seq order; reused across rounds.
+	routes [][]transport.Msg
 	// arena holds payload copies, double-buffered by round parity: slices
 	// handed out for round r stay valid while round r+1 writes the other
 	// half. Reallocation on growth is safe — previously handed-out slices
@@ -74,14 +82,25 @@ type shard struct {
 	// after each sender.
 	portBits []int
 	touched  []int
-	// Per-round accumulators, folded into Stats after each route phase.
-	messages   int64
-	bits       int64
-	maxMsgBits int
-	haltedNow  int
 	// First validation error in this shard (lowest sender vertex wins).
 	err  error
 	errV int
+
+	// Receiver side. copies holds payloads the receiver materializes itself
+	// (duplicates, corrupted originals); one buffer suffices because it is
+	// only written in the deliver phase, after the node programs consumed
+	// the previous round's copies.
+	copies  []byte
+	delayed []delayedMsg
+	// events buffers the round's trace events (traced runs only); halts
+	// lists the vertices that halted this round, ascending.
+	events []TraceEvent
+	halts  []int32
+	// Per-round accumulators, folded into Stats after each round.
+	messages   int64
+	bits       int64
+	maxMsgBits int
+	faults     FaultStats
 }
 
 // workerPool runs numbered tasks on a fixed set of goroutines spawned once.
@@ -130,44 +149,34 @@ type engine struct {
 	limit     int
 	unbounded bool
 
-	nodes []Node
-	envs  []*Env
-
-	halted      []bool
-	dones       []bool
 	haltedCount int
-	outs        [][]Outgoing
-
-	// inboxes is double-buffered by round parity: delivery in round r fills
-	// inboxes[r%2], which node programs read (and truncate) in round r+1.
-	inboxes [2][][]Incoming
 
 	shards    []*shard
 	shardSize int
 	pool      *workerPool // nil when running inline
 
-	round  int
-	stats  Stats
-	trace  traceSink
-	faults *rand.Rand
+	round int
+	stats Stats
+	trace traceSink
+	// traced makes emit tag messages with the sender's kind and deliver
+	// buffer trace events.
+	traced bool
+	// events gathers the shards' buffered events for ReplayRound.
+	events []TraceEvent
 
 	// ctx, when non-nil, is polled at every round barrier.
 	ctx context.Context
-	// scratch owns the recyclable buffers above. The engine borrows it for
-	// one run; Simulator.Run acquires it (from the configured pool or fresh)
-	// and releases it, so pooled ownership never crosses into engine code.
-	scratch *engineScratch
 
-	// Fault-injection state (nil/empty unless Options.Injector is set).
+	// Fault injection: inj is nil unless Options.Injector is set; faulty is
+	// set when an injector or bit corruption is active, sending delivery
+	// through deliverFaulted.
 	inj     FaultInjector
-	down    []bool // vertex -> crashed this round
-	delayed []delayedMsg
+	corrupt float64
+	faulty  bool
 
 	// Phase closures, allocated once so the round loop allocates nothing.
-	computeFn  func(int)
-	senderFn   func(int)
-	receiverFn func(int)
-	compactFn  func(int)
+	sendFn    func(int)
+	deliverFn func(int)
 }
 
 func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *engineScratch) *engine {
@@ -182,31 +191,29 @@ func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *
 		bandwidth: bandwidth,
 		limit:     limit,
 		unbounded: s.opts.Unbounded,
-		nodes:     nodes,
-		envs:      envs,
 		trace:     newTraceSink(s.opts.Tracer),
+		traced:    s.opts.Tracer != nil,
 		ctx:       s.opts.Context,
+		inj:       s.opts.Injector,
+		corrupt:   s.opts.CorruptProb,
 	}
-	if s.opts.CorruptProb > 0 {
-		e.faults = rand.New(rand.NewSource(s.opts.CorruptSeed))
-	}
+	e.faulty = e.inj != nil || e.corrupt > 0
 
 	// The shard layout was fixed by the scratch key (see scratchLayout);
 	// whether the buffers came from a pool or a fresh allocation, the engine
 	// code path is identical.
 	e.shardSize = scratch.key.shardSize
-	nShards := (n + e.shardSize - 1) / e.shardSize
-	e.scratch = scratch
-	e.halted = e.scratch.halted
-	e.dones = e.scratch.dones
-	e.outs = e.scratch.outs
-	e.inboxes = e.scratch.inboxes
-	e.shards = e.scratch.shards
-	if s.opts.Injector != nil {
-		e.inj = s.opts.Injector
-		e.down = e.scratch.down
+	e.shards = scratch.shards
+	for _, sh := range e.shards {
+		sh.nodes = nodes[sh.lo:sh.hi]
+		sh.envs = envs[sh.lo:sh.hi]
+		sh.down = nil
+		if e.inj != nil {
+			sh.down = scratch.down[sh.lo:sh.hi]
+		}
 	}
 
+	nShards := len(e.shards)
 	if s.opts.Parallel && nShards > 1 {
 		if workers := s.opts.workerCount(); workers > 1 {
 			if workers > nShards {
@@ -215,10 +222,8 @@ func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *
 			e.pool = newWorkerPool(workers, nShards)
 		}
 	}
-	e.computeFn = e.computeShard
-	e.senderFn = e.senderShard
-	e.receiverFn = e.receiverShard
-	e.compactFn = e.compactShard
+	e.sendFn = e.sendShard
+	e.deliverFn = e.deliverShard
 	return e
 }
 
@@ -234,12 +239,6 @@ func (e *engine) forEach(fn func(int)) {
 }
 
 func (e *engine) shardOf(v int32) int { return int(v) / e.shardSize }
-
-// serialRoute reports whether routing must happen in one serial pass:
-// tracers observe sends in sender-vertex order, and the fault RNG and the
-// injector's OnSend stream must be consumed in that same order to stay
-// deterministic.
-func (e *engine) serialRoute() bool { return e.trace.enabled() || e.faults != nil || e.inj != nil }
 
 // run drives the simulation to completion. The phases are split out
 // (initPhase / stepRound / finish) so the allocation-regression tests can
@@ -261,8 +260,8 @@ func (e *engine) run() (Stats, error) {
 	return e.finish()
 }
 
-// initPhase runs round 0: Init on every node, delivered serially (like the
-// delivery contract), after announcing the run to the tracer and injector.
+// initPhase runs round 0 — Init on every node, routed like any other round
+// — after announcing the run to the tracer and injector.
 func (e *engine) initPhase() error {
 	e.stats = Stats{Bandwidth: e.bandwidth}
 	e.round = 0
@@ -271,20 +270,12 @@ func (e *engine) initPhase() error {
 		e.inj.RunStart(e.n)
 	}
 	e.trace.roundStart(0)
-	for v := 0; v < e.n; v++ {
-		e.envs[v].Round = 0
-		out := e.nodes[v].Init(e.envs[v])
-		if err := e.deliverSerial(int32(v), out); err != nil {
-			return err
-		}
-	}
-	e.trace.roundEnd(0, e.n, 0)
-	return nil
+	return e.route()
 }
 
-// stepRound advances the simulation by one round: compute, route, compact.
-// In steady state (no tracer, no faults, buffers warmed up) it performs no
-// heap allocations — pinned by TestEngineSteadyStateZeroAllocs.
+// stepRound advances the simulation by one round. In steady state (no
+// tracer, no faults, buffers warmed up) it performs no heap allocations —
+// pinned by TestEngineSteadyStateZeroAllocs.
 func (e *engine) stepRound() error {
 	round := e.round + 1
 	if e.ctx != nil {
@@ -303,29 +294,38 @@ func (e *engine) stepRound() error {
 		e.inj.RoundStart(round)
 		e.updateDown()
 	}
+	return e.route()
+}
 
-	e.forEach(e.computeFn)
-
-	if e.serialRoute() {
-		if err := e.routeSerialPass(); err != nil {
-			return err
-		}
-	} else {
-		e.forEach(e.senderFn)
-		if err := e.firstError(); err != nil {
-			e.foldStats()
-			return err
-		}
-		e.forEach(e.receiverFn)
-		e.foldStats()
+// route runs the current round's two pool phases, folds the shards'
+// counters, and replays the buffered trace events.
+func (e *engine) route() error {
+	e.forEach(e.sendFn)
+	if err := e.firstError(); err != nil {
+		return err
 	}
-
-	e.forEach(e.compactFn)
+	e.forEach(e.deliverFn)
+	e.events = e.events[:0]
 	for _, sh := range e.shards {
-		e.haltedCount += sh.haltedNow
-		sh.haltedNow = 0
+		e.stats.Messages += sh.messages
+		e.stats.Bits += sh.bits
+		if sh.maxMsgBits > e.stats.MaxMsgBits {
+			e.stats.MaxMsgBits = sh.maxMsgBits
+		}
+		e.stats.Faults.add(sh.faults)
+		sh.messages, sh.bits, sh.maxMsgBits, sh.faults = 0, 0, 0, FaultStats{}
+		e.haltedCount += len(sh.halts)
+		if e.traced {
+			e.events = append(e.events, sh.events...)
+			for _, v := range sh.halts {
+				e.events = append(e.events, TraceEvent{Sent: int32(e.round), From: v, Seq: HaltSeq})
+			}
+		}
 	}
-	e.trace.roundEnd(round, e.n-e.haltedCount, e.haltedCount)
+	if e.traced {
+		ReplayRound(e.s.opts.Tracer, e.round, e.s.ids, e.events)
+	}
+	e.trace.roundEnd(e.round, e.n-e.haltedCount, e.haltedCount)
 	return nil
 }
 
@@ -333,9 +333,9 @@ func (e *engine) stepRound() error {
 func (e *engine) finish() (Stats, error) {
 	// Delayed copies still queued when every node has halted can never be
 	// delivered.
-	if len(e.delayed) > 0 {
-		e.stats.Faults.Lost += int64(len(e.delayed))
-		e.delayed = e.delayed[:0]
+	for _, sh := range e.shards {
+		e.stats.Faults.Lost += int64(len(sh.delayed))
+		sh.delayed = sh.delayed[:0]
 	}
 	e.stats.HaltedNodes = e.haltedCount
 	e.trace.runEnd(e.stats)
@@ -344,64 +344,97 @@ func (e *engine) finish() (Stats, error) {
 
 // updateDown refreshes the crash set at the top of a round: a down vertex
 // skips its node program, and whatever was waiting in its inbox is lost. The
-// pass runs serially before the (possibly sharded) compute phase, so the
+// pass runs serially before the (possibly sharded) send phase, so the
 // injector's crash decisions are consumed in a deterministic order and the
-// down slice is read-only while workers run.
+// down flags are read-only while workers run.
 func (e *engine) updateDown() {
 	readGen := (e.round + 1) & 1
-	inboxes := e.inboxes[readGen]
-	for v := 0; v < e.n; v++ {
-		if e.halted[v] {
-			continue
-		}
-		d := e.inj.NodeDown(e.round, v)
-		if d {
-			e.stats.Faults.CrashRounds++
-			if !e.down[v] {
-				e.trace.fault(FaultEvent{Round: e.round, Kind: "crash", FromID: e.s.ids[v]})
+	for _, sh := range e.shards {
+		inboxes := sh.inboxes[readGen]
+		for i := range sh.down {
+			if sh.halted[i] {
+				continue
 			}
-			if pending := len(inboxes[v]); pending > 0 {
-				e.stats.Faults.Lost += int64(pending)
-				inboxes[v] = inboxes[v][:0]
+			v := sh.lo + i
+			d := e.inj.NodeDown(e.round, v)
+			if d {
+				e.stats.Faults.CrashRounds++
+				if !sh.down[i] {
+					e.trace.fault(FaultEvent{Round: e.round, Kind: "crash", FromID: e.s.ids[v]})
+				}
+				if pending := len(inboxes[i]); pending > 0 {
+					e.stats.Faults.Lost += int64(pending)
+					inboxes[i] = inboxes[i][:0]
+				}
+			} else if sh.down[i] {
+				e.trace.fault(FaultEvent{Round: e.round, Kind: "restart", FromID: e.s.ids[v]})
 			}
-		} else if e.down[v] {
-			e.trace.fault(FaultEvent{Round: e.round, Kind: "restart", FromID: e.s.ids[v]})
+			sh.down[i] = d
 		}
-		e.down[v] = d
 	}
 }
 
-// computeShard runs the node programs of one shard's active vertices.
-func (e *engine) computeShard(si int) {
+// sendShard is one shard's sender side of the round: the node programs
+// (Init in round 0), then emit on every outbox in sender-vertex order,
+// stopping at the shard's first validation error.
+func (e *engine) sendShard(si int) {
 	sh := e.shards[si]
-	readGen := (e.round + 1) & 1 // == (round-1)&1: filled two phases ago
-	inboxes := e.inboxes[readGen]
+	e.compute(sh)
+	gen := e.round & 1
+	sh.arena[gen] = sh.arena[gen][:0]
+	for t := range sh.routes {
+		sh.routes[t] = sh.routes[t][:0]
+	}
 	for _, v := range sh.active {
-		if e.down != nil && e.down[v] {
-			// Crashed this round: the program does not run (updateDown has
-			// already discarded the pending inbox).
-			inboxes[v] = inboxes[v][:0]
+		i := int(v) - sh.lo
+		out := sh.outs[i]
+		if len(out) == 0 {
 			continue
 		}
-		env := e.envs[v]
+		sh.outs[i] = nil
+		if err := e.emit(sh, v, out); err != nil {
+			sh.err, sh.errV = err, int(v)
+			return
+		}
+	}
+}
+
+// compute runs the node programs of one shard's active vertices.
+func (e *engine) compute(sh *shard) {
+	if e.round == 0 {
+		for i, env := range sh.envs {
+			env.Round = 0
+			sh.outs[i] = sh.nodes[i].Init(env)
+		}
+		return
+	}
+	readGen := (e.round + 1) & 1 // == (round-1)&1: filled one round ago
+	inboxes := sh.inboxes[readGen]
+	for _, v := range sh.active {
+		i := int(v) - sh.lo
+		if sh.down != nil && sh.down[i] {
+			// Crashed this round: the program does not run (updateDown has
+			// already discarded the pending inbox).
+			continue
+		}
+		env := sh.envs[i]
 		env.Round = e.round
-		inbox := inboxes[v]
+		inbox := inboxes[i]
 		sortInbox(inbox)
-		e.outs[v], e.dones[v] = e.nodes[v].Round(env, inbox)
+		sh.outs[i], sh.dones[i] = sh.nodes[i].Round(env, inbox)
 		// The inbox buffer is refilled by next round's delivery; truncate
 		// now that the node has consumed it.
-		inboxes[v] = inbox[:0]
+		inboxes[i] = inbox[:0]
 	}
 }
 
 // sortInbox orders an inbox by Port, stably: messages sharing a port keep
-// their send order. Both delivery paths append in global sender-vertex
-// order, and a receiver's ports ascend with its (sorted) neighbor vertices,
-// so inboxes arrive already sorted — the scan below confirms that for free,
-// without the closure allocation of sort.SliceStable. Out-of-order entries
-// only occur when a fault injector flushes delayed copies ahead of the
-// round's normal traffic (the small, serial path); the stable insertion
-// sort covers that case in place.
+// their send order. Delivery appends in global sender-vertex order, and a
+// receiver's ports ascend with its (sorted) neighbor vertices, so inboxes
+// arrive already sorted — the scan below confirms that for free, without
+// the closure allocation of sort.SliceStable. Out-of-order entries only
+// occur when fault-delayed copies are flushed ahead of the round's normal
+// traffic; the stable insertion sort covers that case in place.
 func sortInbox(inbox []Incoming) {
 	for i := 1; i < len(inbox); i++ {
 		if inbox[i].Port >= inbox[i-1].Port {
@@ -417,16 +450,16 @@ func sortInbox(inbox []Incoming) {
 }
 
 // checkedSize validates one message from v on port p against the per-edge
-// budget: the single-message cap first (ErrMessageTooLarge, as before), then
-// the aggregate per-(sender, port) per-round cap (ErrBandwidthExceeded).
+// budget: the single-message cap first (ErrMessageTooLarge), then the
+// aggregate per-(sender, port) per-round cap (ErrBandwidthExceeded).
 // portBits must be v's zeroed scratch; touched collects dirtied ports.
-func (e *engine) checkedSize(v int32, p int, payloadLen int, portBits []int, touched *[]int) (int, error) {
+func (e *engine) checkedSize(v int32, p int, payloadLen int, portBits []int, touched *[]int) error {
 	sizeBits := 8 * payloadLen
 	if e.unbounded {
-		return sizeBits, nil
+		return nil
 	}
 	if sizeBits > e.bandwidth {
-		return 0, fmt.Errorf("%w: %d bits > %d-bit budget (node %d, port %d)",
+		return fmt.Errorf("%w: %d bits > %d-bit budget (node %d, port %d)",
 			ErrMessageTooLarge, sizeBits, e.bandwidth, e.s.ids[v], p)
 	}
 	if portBits[p] == 0 {
@@ -434,10 +467,10 @@ func (e *engine) checkedSize(v int32, p int, payloadLen int, portBits []int, tou
 	}
 	portBits[p] += sizeBits
 	if portBits[p] > e.bandwidth {
-		return 0, fmt.Errorf("%w: %d bits in one round > %d-bit budget (node %d, port %d)",
+		return fmt.Errorf("%w: %d bits in one round > %d-bit budget (node %d, port %d)",
 			ErrBandwidthExceeded, portBits[p], e.bandwidth, e.s.ids[v], p)
 	}
-	return sizeBits, nil
+	return nil
 }
 
 func resetPortBits(portBits []int, touched *[]int) {
@@ -447,91 +480,54 @@ func resetPortBits(portBits []int, touched *[]int) {
 	*touched = (*touched)[:0]
 }
 
-// senderShard expands, validates, and buckets one sender shard's outboxes.
-// Payloads are copied into the shard's arena for the current round parity;
-// the copies handed to receivers stay valid through the next compute phase.
-func (e *engine) senderShard(si int) {
-	sh := e.shards[si]
+// emit validates one sender's outbox in emission order and buckets the
+// messages by receiver shard, copying payloads into the shard's arena for
+// the current round parity. Each expanded message gets the sender's next
+// seq, the key fault draws and the trace merge use.
+func (e *engine) emit(sh *shard, v int32, out []Outgoing) error {
 	gen := e.round & 1
-	arena := sh.arena[gen][:0]
-	for t := range sh.routes {
-		sh.routes[t] = sh.routes[t][:0]
+	arena := sh.arena[gen]
+	kind := ""
+	if e.traced {
+		kind = sh.envs[int(v)-sh.lo].kind
 	}
 	csr := e.s.csr
-	for _, v := range sh.active {
-		out := e.outs[v]
-		if len(out) == 0 {
-			continue
+	base := csr.off[v]
+	deg := int(csr.off[v+1] - base)
+	seq := int32(0)
+	var err error
+outbox:
+	for _, o := range out {
+		lo, hi := o.Port, o.Port+1
+		if o.Port == -1 {
+			lo, hi = 0, deg
 		}
-		e.outs[v] = nil
-		base := csr.off[v]
-		deg := int(csr.off[v+1] - base)
-		for _, o := range out {
-			lo, hi := o.Port, o.Port+1
-			if o.Port == -1 {
-				lo, hi = 0, deg
+		for p := lo; p < hi; p++ {
+			if p < 0 || p >= deg {
+				err = fmt.Errorf("congest: node %d sent to invalid port %d", e.s.ids[v], p)
+				break outbox
 			}
-			for p := lo; p < hi; p++ {
-				if p < 0 || p >= deg {
-					if sh.err == nil {
-						sh.err = fmt.Errorf("congest: node %d sent to invalid port %d", e.s.ids[v], p)
-						sh.errV = int(v)
-					}
-					resetPortBits(sh.portBits, &sh.touched)
-					sh.arena[gen] = arena
-					return
-				}
-				if _, err := e.checkedSize(v, p, len(o.Payload), sh.portBits, &sh.touched); err != nil {
-					if sh.err == nil {
-						sh.err = err
-						sh.errV = int(v)
-					}
-					resetPortBits(sh.portBits, &sh.touched)
-					sh.arena[gen] = arena
-					return
-				}
-				w := csr.nbr[base+int32(p)]
-				start := len(arena)
-				arena = append(arena, o.Payload...)
-				payload := Message(arena[start:len(arena):len(arena)])
-				sh.routes[e.shardOf(w)] = append(sh.routes[e.shardOf(w)], routed{
-					from: v, to: w, port: csr.back[base+int32(p)], payload: payload,
-				})
+			if err = e.checkedSize(v, p, len(o.Payload), sh.portBits, &sh.touched); err != nil {
+				break outbox
 			}
+			w := csr.nbr[base+int32(p)]
+			start := len(arena)
+			arena = append(arena, o.Payload...)
+			t := e.shardOf(w)
+			sh.routes[t] = append(sh.routes[t], transport.Msg{
+				From: v, To: w, Port: csr.back[base+int32(p)], Seq: seq,
+				Kind: kind, Payload: arena[start:len(arena):len(arena)],
+			})
+			seq++
 		}
-		resetPortBits(sh.portBits, &sh.touched)
 	}
 	sh.arena[gen] = arena
-}
-
-// receiverShard merges the routed messages destined for one receiver shard,
-// scanning sender shards in index order — global sender-vertex order, the
-// same order the serial path delivers in. The drop rule reproduces the
-// serial pass exactly: a message is dropped if the receiver halted in an
-// earlier round, or halts this round and precedes the sender in vertex
-// order (the serial pass marks halts in that order, mid-delivery).
-func (e *engine) receiverShard(ti int) {
-	sh := e.shards[ti]
-	gen := e.round & 1
-	inboxes := e.inboxes[gen]
-	for _, src := range e.shards {
-		for _, m := range src.routes[ti] {
-			if e.halted[m.to] || (e.dones[m.to] && m.to < m.from) {
-				continue
-			}
-			inboxes[m.to] = append(inboxes[m.to], Incoming{Port: int(m.port), Payload: m.payload})
-			sizeBits := 8 * len(m.payload)
-			sh.messages++
-			sh.bits += int64(sizeBits)
-			if sizeBits > sh.maxMsgBits {
-				sh.maxMsgBits = sizeBits
-			}
-		}
-	}
+	resetPortBits(sh.portBits, &sh.touched)
+	return err
 }
 
 // firstError returns the recorded validation error with the lowest sender
-// vertex, matching what the serial pass would have hit first.
+// vertex: the one a serial pass in sender-vertex order would hit first.
 func (e *engine) firstError() error {
 	var err error
 	best := e.n
@@ -543,215 +539,205 @@ func (e *engine) firstError() error {
 	return err
 }
 
-// foldStats folds the receiver shards' per-round counters into Stats.
-func (e *engine) foldStats() {
-	for _, sh := range e.shards {
-		e.stats.Messages += sh.messages
-		e.stats.Bits += sh.bits
-		if sh.maxMsgBits > e.stats.MaxMsgBits {
-			e.stats.MaxMsgBits = sh.maxMsgBits
-		}
-		sh.messages, sh.bits, sh.maxMsgBits = 0, 0, 0
+// deliverShard is one receiver shard's side of the round: due delayed
+// copies first, then the round's buckets in sender-shard order (global
+// sender-vertex order), then compaction.
+func (e *engine) deliverShard(ti int) {
+	sh := e.shards[ti]
+	e.beginDeliver(sh)
+	for _, src := range e.shards {
+		e.deliver(sh, src.routes[ti])
 	}
+	e.compact(sh)
 }
 
-// routeSerialPass is the deterministic serial route: sender-vertex order,
-// with halts marked inline (so later senders observe them), trace events
-// emitted in delivery order, and the fault RNG consumed in that same order.
-func (e *engine) routeSerialPass() error {
-	gen := e.round & 1
-	for _, sh := range e.shards {
-		// Reclaim this parity's arena: its payloads were consumed by the
-		// compute phase one round ago.
-		sh.arena[gen] = sh.arena[gen][:0]
-	}
-	if e.inj != nil {
-		e.flushDelayed()
-	}
-	for _, sh := range e.shards {
-		for _, v := range sh.active {
-			out := e.outs[v]
-			e.outs[v] = nil
-			if err := e.deliverSerial(v, out); err != nil {
-				return err
-			}
-			if e.dones[v] {
-				e.halted[v] = true
-				sh.haltedNow++
-				e.trace.nodeHalted(e.round, e.s.ids[v])
-			}
-		}
-	}
-	return nil
-}
-
-// deliverSerial validates and delivers one sender's outbox in order. Shared
-// by the Init phase and the serial route.
-func (e *engine) deliverSerial(v int32, out []Outgoing) error {
-	if len(out) == 0 {
-		return nil
-	}
-	sh := e.shards[e.shardOf(v)]
-	gen := e.round & 1
-	arena := sh.arena[gen]
-	inboxes := e.inboxes[gen]
-	defer resetPortBits(sh.portBits, &sh.touched)
-	csr := e.s.csr
-	base := csr.off[v]
-	deg := int(csr.off[v+1] - base)
-	for _, o := range out {
-		lo, hi := o.Port, o.Port+1
-		if o.Port == -1 {
-			lo, hi = 0, deg
-		}
-		for p := lo; p < hi; p++ {
-			if p < 0 || p >= deg {
-				sh.arena[gen] = arena
-				return fmt.Errorf("congest: node %d sent to invalid port %d", e.s.ids[v], p)
-			}
-			sizeBits, err := e.checkedSize(v, p, len(o.Payload), sh.portBits, &sh.touched)
-			if err != nil {
-				sh.arena[gen] = arena
-				return err
-			}
-			w := int(csr.nbr[base+int32(p)])
-			if e.halted[w] {
-				continue
-			}
-			if e.down != nil && e.down[w] {
-				// The receiver is crashed while the message is in transit.
-				e.stats.Faults.Lost++
-				e.trace.fault(FaultEvent{Round: e.round, Kind: "lost", FromID: e.s.ids[v], ToID: e.s.ids[w]})
-				continue
-			}
-			var plan FaultPlan
-			if e.inj != nil {
-				plan = e.inj.OnSend(e.round, int(v), w)
-			}
-			recvPort := int(csr.back[base+int32(p)])
-			switch {
-			case plan.Drop:
-				e.stats.Faults.Dropped++
-				e.trace.fault(FaultEvent{Round: e.round, Kind: "drop", FromID: e.s.ids[v], ToID: e.s.ids[w]})
-			case plan.Delay > 0:
-				e.stats.Faults.Delayed++
-				e.trace.fault(FaultEvent{Round: e.round, Kind: "delay", FromID: e.s.ids[v], ToID: e.s.ids[w], Detail: plan.Delay})
-				e.delayed = append(e.delayed, delayedMsg{
-					due: e.round + plan.Delay, from: v, to: int32(w), port: int32(recvPort),
-					payload: append([]byte(nil), o.Payload...),
-				})
-			default:
-				start := len(arena)
-				arena = append(arena, o.Payload...)
-				payload := Message(arena[start:len(arena):len(arena)])
-				if e.faults != nil && len(payload) > 0 && e.faults.Float64() < e.s.opts.CorruptProb {
-					i := e.faults.Intn(len(payload))
-					payload[i] ^= 1 << uint(e.faults.Intn(8))
-				}
-				inboxes[w] = append(inboxes[w], Incoming{Port: recvPort, Payload: payload})
-				e.stats.Messages++
-				e.stats.Bits += int64(sizeBits)
-				if sizeBits > e.stats.MaxMsgBits {
-					e.stats.MaxMsgBits = sizeBits
-				}
-				if e.trace.enabled() {
-					e.trace.send(SendEvent{
-						Round: e.round, FromID: e.s.ids[v], ToID: e.s.ids[w],
-						Port: recvPort, SizeBits: sizeBits, Kind: e.envs[v].kind,
-					})
-				}
-			}
-			for c := 0; c < plan.Dup; c++ {
-				e.stats.Faults.Duplicated++
-				e.trace.fault(FaultEvent{Round: e.round, Kind: "dup", FromID: e.s.ids[v], ToID: e.s.ids[w], Detail: plan.DupDelay})
-				if plan.DupDelay > 0 {
-					e.stats.Faults.Delayed++
-					e.delayed = append(e.delayed, delayedMsg{
-						due: e.round + plan.DupDelay, from: v, to: int32(w), port: int32(recvPort),
-						payload: append([]byte(nil), o.Payload...),
-					})
-					continue
-				}
-				start := len(arena)
-				arena = append(arena, o.Payload...)
-				payload := Message(arena[start:len(arena):len(arena)])
-				inboxes[w] = append(inboxes[w], Incoming{Port: recvPort, Payload: payload})
-				e.stats.Messages++
-				e.stats.Bits += int64(sizeBits)
-				if e.trace.enabled() {
-					e.trace.send(SendEvent{
-						Round: e.round, FromID: e.s.ids[v], ToID: e.s.ids[w],
-						Port: recvPort, SizeBits: sizeBits, Kind: e.envs[v].kind,
-					})
-				}
-			}
-		}
-	}
-	sh.arena[gen] = arena
-	return nil
-}
-
-// flushDelayed delivers the injector-deferred messages whose due round has
-// arrived, in the order they were deferred (which is deterministic: the
-// serial route queues them in sender-vertex order). A copy whose receiver
-// halted or crashed in the meantime is lost. Delivery targets the current
-// parity's inboxes — the generation node programs read next round, exactly
-// when an on-time message sent this round would arrive.
-func (e *engine) flushDelayed() {
-	if len(e.delayed) == 0 {
+// beginDeliver resets the shard's per-round receiver buffers and flushes
+// the delayed copies due this round, in the order they were deferred.
+func (e *engine) beginDeliver(sh *shard) {
+	sh.copies = sh.copies[:0]
+	sh.events = sh.events[:0]
+	if len(sh.delayed) == 0 {
 		return
 	}
-	inboxes := e.inboxes[e.round&1]
 	k := 0
-	for _, m := range e.delayed {
-		if m.due > e.round {
-			e.delayed[k] = m
+	for _, d := range sh.delayed {
+		if d.due > e.round {
+			sh.delayed[k] = d
 			k++
 			continue
 		}
-		if e.halted[m.to] || e.down[m.to] {
-			e.stats.Faults.Lost++
-			e.trace.fault(FaultEvent{Round: e.round, Kind: "lost", FromID: e.s.ids[m.from], ToID: e.s.ids[m.to]})
-			continue
-		}
-		inboxes[m.to] = append(inboxes[m.to], Incoming{Port: int(m.port), Payload: Message(m.payload)})
-		sizeBits := 8 * len(m.payload)
-		e.stats.Messages++
-		e.stats.Bits += int64(sizeBits)
-		if sizeBits > e.stats.MaxMsgBits {
-			e.stats.MaxMsgBits = sizeBits
-		}
-		if e.trace.enabled() {
-			e.trace.send(SendEvent{
-				Round: e.round, FromID: e.s.ids[m.from], ToID: e.s.ids[m.to],
-				Port: int(m.port), SizeBits: sizeBits, Kind: "delayed",
-			})
-		}
+		e.deliverLate(sh, d.m, d.sent)
 	}
-	e.delayed = e.delayed[:k]
+	sh.delayed = sh.delayed[:k]
 }
 
-// compactShard marks this shard's newly halted vertices and removes them
-// from the active list (the serial route has already marked and counted its
-// halts; re-marking is guarded by the halted flag).
-func (e *engine) compactShard(si int) {
-	sh := e.shards[si]
-	changed := false
-	for _, v := range sh.active {
-		if e.halted[v] {
-			changed = true // marked by the serial route
-		} else if e.dones[v] {
-			e.halted[v] = true
-			sh.haltedNow++
-			changed = true
+// deliverLate delivers one copy sent in an earlier round (fault-delayed in
+// process, frame-delayed across processes). Delivery targets the current
+// parity's inboxes — the generation node programs read next round, exactly
+// when an on-time message sent this round arrives. A copy whose receiver
+// halted or is down is lost.
+func (e *engine) deliverLate(sh *shard, m transport.Msg, sent int) {
+	i := int(m.To) - sh.lo
+	if sh.halted[i] || (sh.down != nil && sh.down[i]) {
+		sh.faults.Lost++
+		e.faultEvent(sh, sent, &m, "lost", 0)
+		return
+	}
+	m.Kind = "delayed"
+	e.accept(sh, sent, &m, m.Payload)
+}
+
+// deliver merges one sender shard's bucket into this receiver shard. A
+// message is dropped, uncounted, if its receiver halted in an earlier round,
+// or halts this round and precedes the sender in vertex order — exactly
+// what a serial pass marking halts in sender-vertex order would see.
+func (e *engine) deliver(sh *shard, msgs []transport.Msg) {
+	inboxes := sh.inboxes[e.round&1]
+	for k := range msgs {
+		m := &msgs[k]
+		i := int(m.To) - sh.lo
+		if sh.halted[i] || (sh.dones[i] && m.To < m.From) {
+			continue
+		}
+		if e.faulty {
+			e.deliverFaulted(sh, m)
+			continue
+		}
+		inboxes[i] = append(inboxes[i], Incoming{Port: int(m.Port), Payload: m.Payload})
+		sh.count(len(m.Payload))
+		if e.traced {
+			sh.sendEvent(e.round, m, len(m.Payload))
 		}
 	}
-	if !changed {
+}
+
+// deliverFaulted applies the crash set, the injector's plan and bit
+// corruption to one message. Every decision is keyed by the message's
+// (round, sender, seq), so shards may evaluate them in any order.
+func (e *engine) deliverFaulted(sh *shard, m *transport.Msg) {
+	i := int(m.To) - sh.lo
+	if sh.down != nil && sh.down[i] {
+		// The receiver is crashed while the message is in transit.
+		sh.faults.Lost++
+		e.faultEvent(sh, e.round, m, "lost", 0)
+		return
+	}
+	var plan FaultPlan
+	if e.inj != nil {
+		plan = e.inj.OnSend(e.round, int(m.From), int(m.To), int(m.Seq))
+	}
+	switch {
+	case plan.Drop:
+		sh.faults.Dropped++
+		e.faultEvent(sh, e.round, m, "drop", 0)
+	case plan.Delay > 0:
+		sh.faults.Delayed++
+		e.faultEvent(sh, e.round, m, "delay", plan.Delay)
+		e.postpone(sh, m, plan.Delay)
+	default:
+		payload := m.Payload
+		if e.corrupt > 0 && len(payload) > 0 && e.keyedDraw(m, laneCorrupt) < e.corrupt {
+			payload = sh.copy(payload)
+			payload[int(e.keyedDraw(m, laneCorruptByte)*float64(len(payload)))] ^=
+				1 << uint(e.keyedDraw(m, laneCorruptBit)*8)
+		}
+		e.accept(sh, e.round, m, payload)
+	}
+	for c := 0; c < plan.Dup; c++ {
+		sh.faults.Duplicated++
+		e.faultEvent(sh, e.round, m, "dup", plan.DupDelay)
+		if plan.DupDelay > 0 {
+			sh.faults.Delayed++
+			e.postpone(sh, m, plan.DupDelay)
+			continue
+		}
+		e.accept(sh, e.round, m, sh.copy(m.Payload))
+	}
+}
+
+// Lanes of the corruption draws (see KeyedDraw).
+const (
+	laneCorrupt     = 0x2545F4914F6CDD1D
+	laneCorruptByte = 0x5851F42D4C957F2D
+	laneCorruptBit  = 0x14057B7EF767814F
+)
+
+func (e *engine) keyedDraw(m *transport.Msg, lane uint64) float64 {
+	return KeyedDraw(e.s.opts.CorruptSeed, e.round, int(m.From), int(m.Seq), lane)
+}
+
+// copy materializes a receiver-owned copy of a payload.
+func (sh *shard) copy(p []byte) []byte {
+	start := len(sh.copies)
+	sh.copies = append(sh.copies, p...)
+	return sh.copies[start:len(sh.copies):len(sh.copies)]
+}
+
+// postpone queues an owned copy of m for delivery delay rounds late.
+func (e *engine) postpone(sh *shard, m *transport.Msg, delay int) {
+	d := delayedMsg{due: e.round + delay, sent: e.round, m: *m}
+	d.m.Payload = append([]byte(nil), m.Payload...)
+	sh.delayed = append(sh.delayed, d)
+}
+
+// accept appends one copy to its receiver's inbox, counts it, and buffers
+// its send event.
+func (e *engine) accept(sh *shard, sent int, m *transport.Msg, payload []byte) {
+	i := int(m.To) - sh.lo
+	inboxes := sh.inboxes[e.round&1]
+	inboxes[i] = append(inboxes[i], Incoming{Port: int(m.Port), Payload: payload})
+	sh.count(len(payload))
+	if e.traced {
+		sh.sendEvent(sent, m, len(payload))
+	}
+}
+
+// count adds one delivered message of the given payload length to the
+// shard's per-round counters.
+func (sh *shard) count(payloadLen int) {
+	sizeBits := 8 * payloadLen
+	sh.messages++
+	sh.bits += int64(sizeBits)
+	if sizeBits > sh.maxMsgBits {
+		sh.maxMsgBits = sizeBits
+	}
+}
+
+// sendEvent buffers the send event of one delivered copy.
+func (sh *shard) sendEvent(sent int, m *transport.Msg, payloadLen int) {
+	sh.events = append(sh.events, TraceEvent{
+		Sent: int32(sent), From: m.From, Seq: m.Seq,
+		To: m.To, Port: m.Port, Bits: int32(8 * payloadLen), Kind: m.Kind,
+	})
+}
+
+// faultEvent buffers one injected-fault event (traced runs only).
+func (e *engine) faultEvent(sh *shard, sent int, m *transport.Msg, kind string, detail int) {
+	if e.traced {
+		sh.events = append(sh.events, TraceEvent{
+			Sent: int32(sent), From: m.From, Seq: m.Seq, To: m.To,
+			Fault: kind, Detail: int32(detail),
+		})
+	}
+}
+
+// compact marks this shard's newly halted vertices, records them in halts,
+// and removes them from the active list.
+func (e *engine) compact(sh *shard) {
+	sh.halts = sh.halts[:0]
+	for _, v := range sh.active {
+		i := int(v) - sh.lo
+		if sh.dones[i] && !sh.halted[i] {
+			sh.halted[i] = true
+			sh.halts = append(sh.halts, v)
+		}
+	}
+	if len(sh.halts) == 0 {
 		return
 	}
 	k := 0
 	for _, v := range sh.active {
-		if !e.halted[v] {
+		if !sh.halted[int(v)-sh.lo] {
 			sh.active[k] = v
 			k++
 		}

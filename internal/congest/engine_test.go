@@ -265,7 +265,7 @@ func (badPortNode) Round(env *Env, inbox []Incoming) ([]Outgoing, bool) {
 }
 
 // TestInvalidPortErrorBothModes: validation errors surface identically (and
-// deterministically) from the sharded and serial routing paths.
+// deterministically) sequentially and on the worker pool.
 func TestInvalidPortErrorBothModes(t *testing.T) {
 	g := gen.Path(6)
 	var msgs []string

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/graph/gen"
@@ -20,7 +21,7 @@ func (s *scriptInjector) RoundStart(round int) {}
 func (s *scriptInjector) NodeDown(round, vertex int) bool {
 	return s.downs[[2]int{round, vertex}]
 }
-func (s *scriptInjector) OnSend(round, from, to int) FaultPlan {
+func (s *scriptInjector) OnSend(round, from, to, seq int) FaultPlan {
 	return s.plans[[3]int{round, from, to}]
 }
 
@@ -48,8 +49,17 @@ func (c *chatterNode) Round(env *Env, inbox []Incoming) ([]Outgoing, bool) {
 	return []Outgoing{Broadcast(Message{byte(env.Round)})}, false
 }
 
-func runChatter(t *testing.T, opts Options, lastRound int) ([]*chatterNode, Stats) {
+// forEachMode runs fn sequentially and on a 4-worker pool, with unchanged
+// expectations: results may not depend on the execution mode.
+func forEachMode(t *testing.T, fn func(t *testing.T, mode Options)) {
+	for _, mode := range []Options{{}, {Parallel: true, Workers: 4}} {
+		t.Run(fmt.Sprintf("workers=%d", mode.Workers), func(t *testing.T) { fn(t, mode) })
+	}
+}
+
+func runChatter(t *testing.T, opts Options, inj FaultInjector, lastRound int) ([]*chatterNode, Stats) {
 	t.Helper()
+	opts.Injector = inj
 	g := gen.Path(2)
 	sim, err := NewSimulator(g, opts)
 	if err != nil {
@@ -67,120 +77,130 @@ func runChatter(t *testing.T, opts Options, lastRound int) ([]*chatterNode, Stat
 }
 
 func TestInjectorDrop(t *testing.T) {
-	inj := &scriptInjector{plans: map[[3]int]FaultPlan{
-		{2, 0, 1}: {Drop: true},
-	}}
-	nodes, stats := runChatter(t, Options{Injector: inj}, 4)
-	// Node 1 receives node 0's init (round 0) and rounds 1, 3 payloads; the
-	// round-2 payload was dropped.
-	want := [][2]int{{1, 0}, {2, 1}, {4, 3}}
-	if got := nodes[1].got; len(got) != len(want) {
-		t.Fatalf("receiver got %v, want %v", got, want)
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("receiver got %v, want %v", got, want)
+	forEachMode(t, func(t *testing.T, mode Options) {
+		inj := &scriptInjector{plans: map[[3]int]FaultPlan{
+			{2, 0, 1}: {Drop: true},
+		}}
+		nodes, stats := runChatter(t, mode, inj, 4)
+		// Node 1 receives node 0's init (round 0) and rounds 1, 3 payloads; the
+		// round-2 payload was dropped.
+		want := [][2]int{{1, 0}, {2, 1}, {4, 3}}
+		if got := nodes[1].got; len(got) != len(want) {
+			t.Fatalf("receiver got %v, want %v", got, want)
+		} else {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("receiver got %v, want %v", got, want)
+				}
 			}
 		}
-	}
-	if stats.Faults.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", stats.Faults.Dropped)
-	}
+		if stats.Faults.Dropped != 1 {
+			t.Fatalf("Dropped = %d, want 1", stats.Faults.Dropped)
+		}
+	})
 }
 
 func TestInjectorDelayParity(t *testing.T) {
-	// Delay node 0's round-1 payload by 1, 2, and 3 rounds in separate runs:
-	// it must arrive in round 2+d's inbox, after every on-time payload sent
-	// in between — for both inbox-buffer parities.
-	for _, d := range []int{1, 2, 3} {
-		inj := &scriptInjector{plans: map[[3]int]FaultPlan{
-			{1, 0, 1}: {Delay: d},
-		}}
-		nodes, stats := runChatter(t, Options{Injector: inj}, 6)
-		gotRound := -1
-		for _, g := range nodes[1].got {
-			if g[1] == 1 {
-				gotRound = g[0]
+	forEachMode(t, func(t *testing.T, mode Options) {
+		// Delay node 0's round-1 payload by 1, 2, and 3 rounds in separate runs:
+		// it must arrive in round 2+d's inbox, after every on-time payload sent
+		// in between — for both inbox-buffer parities.
+		for _, d := range []int{1, 2, 3} {
+			inj := &scriptInjector{plans: map[[3]int]FaultPlan{
+				{1, 0, 1}: {Delay: d},
+			}}
+			nodes, stats := runChatter(t, mode, inj, 6)
+			gotRound := -1
+			for _, g := range nodes[1].got {
+				if g[1] == 1 {
+					gotRound = g[0]
+				}
+			}
+			if want := 2 + d; gotRound != want {
+				t.Fatalf("delay %d: payload 1 arrived in round %d, want %d", d, gotRound, want)
+			}
+			if stats.Faults.Delayed != 1 {
+				t.Fatalf("delay %d: Delayed = %d, want 1", d, stats.Faults.Delayed)
 			}
 		}
-		if want := 2 + d; gotRound != want {
-			t.Fatalf("delay %d: payload 1 arrived in round %d, want %d", d, gotRound, want)
-		}
-		if stats.Faults.Delayed != 1 {
-			t.Fatalf("delay %d: Delayed = %d, want 1", d, stats.Faults.Delayed)
-		}
-	}
+	})
 }
 
 func TestInjectorDup(t *testing.T) {
-	inj := &scriptInjector{plans: map[[3]int]FaultPlan{
-		{1, 0, 1}: {Dup: 1},              // same-round duplicate
-		{2, 0, 1}: {Dup: 1, DupDelay: 2}, // duplicate arrives two rounds late
-	}}
-	nodes, stats := runChatter(t, Options{Injector: inj}, 6)
-	count := map[[2]int]int{}
-	for _, g := range nodes[1].got {
-		count[g]++
-	}
-	if count[[2]int{2, 1}] != 2 {
-		t.Fatalf("round-1 payload copies in round 2 = %d, want 2 (immediate dup)", count[[2]int{2, 1}])
-	}
-	if count[[2]int{3, 2}] != 1 || count[[2]int{5, 2}] != 1 {
-		t.Fatalf("round-2 payload must arrive once on time (round 3) and once delayed (round 5); got %v", nodes[1].got)
-	}
-	if stats.Faults.Duplicated != 2 || stats.Faults.Delayed != 1 {
-		t.Fatalf("Faults = %+v, want Duplicated=2 Delayed=1", stats.Faults)
-	}
+	forEachMode(t, func(t *testing.T, mode Options) {
+		inj := &scriptInjector{plans: map[[3]int]FaultPlan{
+			{1, 0, 1}: {Dup: 1},              // same-round duplicate
+			{2, 0, 1}: {Dup: 1, DupDelay: 2}, // duplicate arrives two rounds late
+		}}
+		nodes, stats := runChatter(t, mode, inj, 6)
+		count := map[[2]int]int{}
+		for _, g := range nodes[1].got {
+			count[g]++
+		}
+		if count[[2]int{2, 1}] != 2 {
+			t.Fatalf("round-1 payload copies in round 2 = %d, want 2 (immediate dup)", count[[2]int{2, 1}])
+		}
+		if count[[2]int{3, 2}] != 1 || count[[2]int{5, 2}] != 1 {
+			t.Fatalf("round-2 payload must arrive once on time (round 3) and once delayed (round 5); got %v", nodes[1].got)
+		}
+		if stats.Faults.Duplicated != 2 || stats.Faults.Delayed != 1 {
+			t.Fatalf("Faults = %+v, want Duplicated=2 Delayed=1", stats.Faults)
+		}
+	})
 }
 
 func TestInjectorCrashRestart(t *testing.T) {
-	// Node 1 is down in rounds 2 and 3: its program must not run, the
-	// payload delivered for round 2 is lost from its inbox, payloads sent to
-	// it during rounds 2 and 3 are lost in transit, and after restart it
-	// resumes with its recorded state intact.
-	inj := &scriptInjector{downs: map[[2]int]bool{
-		{2, 1}: true,
-		{3, 1}: true,
-	}}
-	nodes, stats := runChatter(t, Options{Injector: inj}, 6)
-	for _, r := range nodes[1].ran {
-		if r == 2 || r == 3 {
-			t.Fatalf("down node executed in round %d (ran %v)", r, nodes[1].ran)
+	forEachMode(t, func(t *testing.T, mode Options) {
+		// Node 1 is down in rounds 2 and 3: its program must not run, the
+		// payload delivered for round 2 is lost from its inbox, payloads sent to
+		// it during rounds 2 and 3 are lost in transit, and after restart it
+		// resumes with its recorded state intact.
+		inj := &scriptInjector{downs: map[[2]int]bool{
+			{2, 1}: true,
+			{3, 1}: true,
+		}}
+		nodes, stats := runChatter(t, mode, inj, 6)
+		for _, r := range nodes[1].ran {
+			if r == 2 || r == 3 {
+				t.Fatalf("down node executed in round %d (ran %v)", r, nodes[1].ran)
+			}
 		}
-	}
-	// Node 1 sees rounds 0 (init, read in round 1) and 4, 5 payloads only:
-	// payload 1 was pending when it crashed, payloads 2 and 3 arrived while
-	// down.
-	want := map[[2]int]bool{{1, 0}: true, {5, 4}: true, {6, 5}: true}
-	for _, g := range nodes[1].got {
-		if !want[g] {
-			t.Fatalf("down node received %v (all: %v)", g, nodes[1].got)
+		// Node 1 sees rounds 0 (init, read in round 1) and 4, 5 payloads only:
+		// payload 1 was pending when it crashed, payloads 2 and 3 arrived while
+		// down.
+		want := map[[2]int]bool{{1, 0}: true, {5, 4}: true, {6, 5}: true}
+		for _, g := range nodes[1].got {
+			if !want[g] {
+				t.Fatalf("down node received %v (all: %v)", g, nodes[1].got)
+			}
+			delete(want, g)
 		}
-		delete(want, g)
-	}
-	if len(want) != 0 {
-		t.Fatalf("missing post-restart deliveries %v (got %v)", want, nodes[1].got)
-	}
-	if stats.Faults.CrashRounds != 2 {
-		t.Fatalf("CrashRounds = %d, want 2", stats.Faults.CrashRounds)
-	}
-	// Lost: the pending round-1 payload + the in-transit round-2 and
-	// round-3 payloads.
-	if stats.Faults.Lost != 3 {
-		t.Fatalf("Lost = %d, want 3 (faults %+v)", stats.Faults.Lost, stats.Faults)
-	}
+		if len(want) != 0 {
+			t.Fatalf("missing post-restart deliveries %v (got %v)", want, nodes[1].got)
+		}
+		if stats.Faults.CrashRounds != 2 {
+			t.Fatalf("CrashRounds = %d, want 2", stats.Faults.CrashRounds)
+		}
+		// Lost: the pending round-1 payload + the in-transit round-2 and
+		// round-3 payloads.
+		if stats.Faults.Lost != 3 {
+			t.Fatalf("Lost = %d, want 3 (faults %+v)", stats.Faults.Lost, stats.Faults)
+		}
+	})
 }
 
 func TestInjectorDelayedToHaltedIsLost(t *testing.T) {
-	// Both nodes halt at round 2; a round-1 payload delayed by 5 rounds can
-	// never be delivered.
-	inj := &scriptInjector{plans: map[[3]int]FaultPlan{
-		{1, 0, 1}: {Delay: 5},
-	}}
-	_, stats := runChatter(t, Options{Injector: inj}, 2)
-	if stats.Faults.Delayed != 1 || stats.Faults.Lost != 1 {
-		t.Fatalf("Faults = %+v, want Delayed=1 Lost=1", stats.Faults)
-	}
+	forEachMode(t, func(t *testing.T, mode Options) {
+		// Both nodes halt at round 2; a round-1 payload delayed by 5 rounds can
+		// never be delivered.
+		inj := &scriptInjector{plans: map[[3]int]FaultPlan{
+			{1, 0, 1}: {Delay: 5},
+		}}
+		_, stats := runChatter(t, mode, inj, 2)
+		if stats.Faults.Delayed != 1 || stats.Faults.Lost != 1 {
+			t.Fatalf("Faults = %+v, want Delayed=1 Lost=1", stats.Faults)
+		}
+	})
 }
 
 // TestZeroInjectorTransparent is the engine half of the transparency

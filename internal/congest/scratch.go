@@ -1,6 +1,10 @@
 package congest
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/congest/transport"
+)
 
 // ScratchPool recycles the engine's per-run allocation-heavy state — halt
 // flags, outboxes, the double-buffered inboxes, and the shards with their
@@ -67,7 +71,8 @@ func (s *Simulator) scratchLayout(n int) scratchKey {
 	return scratchKey{n: n, shardSize: shardSize, maxDeg: maxDeg}
 }
 
-// engineScratch is the recyclable slice state of one engine.
+// engineScratch is the recyclable slice state of one engine: vertex-indexed
+// backing arrays, and the shards whose views slice them.
 type engineScratch struct {
 	key     scratchKey
 	halted  []bool
@@ -94,18 +99,25 @@ func newEngineScratch(key scratchKey) *engineScratch {
 	sc.inboxes[1] = make([][]Incoming, n)
 	for i := range sc.shards {
 		lo := i * key.shardSize
-		hi := lo + key.shardSize
-		if hi > n {
-			hi = n
-		}
-		sc.shards[i] = &shard{
-			lo: lo, hi: hi,
-			active:   make([]int32, 0, hi-lo),
-			routes:   make([][]routed, nShards),
-			portBits: make([]int, key.maxDeg),
-		}
+		hi := min(lo+key.shardSize, n)
+		sh := newShard(lo, hi, nShards, key.maxDeg)
+		sh.halted, sh.dones = sc.halted[lo:hi], sc.dones[lo:hi]
+		sh.outs = sc.outs[lo:hi]
+		sh.inboxes = [2][][]Incoming{sc.inboxes[0][lo:hi], sc.inboxes[1][lo:hi]}
+		sc.shards[i] = sh
 	}
 	return sc
+}
+
+// newShard allocates the per-shard buffers of the vertex range [lo, hi)
+// routing to nRoutes receiver shards; the caller sets the vertex views.
+func newShard(lo, hi, nRoutes, maxDeg int) *shard {
+	return &shard{
+		lo: lo, hi: hi,
+		active:   make([]int32, 0, hi-lo),
+		routes:   make([][]transport.Msg, nRoutes),
+		portBits: make([]int, maxDeg),
+	}
 }
 
 // reset restores the scratch to its pre-run state, keeping every buffer's
@@ -121,22 +133,31 @@ func (sc *engineScratch) reset() {
 		sc.inboxes[1][i] = sc.inboxes[1][i][:0]
 	}
 	for _, sh := range sc.shards {
-		sh.active = sh.active[:0]
-		for v := sh.lo; v < sh.hi; v++ {
-			sh.active = append(sh.active, int32(v))
-		}
-		for t := range sh.routes {
-			sh.routes[t] = sh.routes[t][:0]
-		}
-		sh.arena[0] = sh.arena[0][:0]
-		sh.arena[1] = sh.arena[1][:0]
-		for p := range sh.portBits {
-			sh.portBits[p] = 0
-		}
-		sh.touched = sh.touched[:0]
-		sh.messages, sh.bits, sh.maxMsgBits, sh.haltedNow = 0, 0, 0, 0
-		sh.err, sh.errV = nil, 0
+		sh.reset()
 	}
+}
+
+// reset truncates the shard's own buffers and reactivates its range.
+func (sh *shard) reset() {
+	sh.active = sh.active[:0]
+	for v := sh.lo; v < sh.hi; v++ {
+		sh.active = append(sh.active, int32(v))
+	}
+	for t := range sh.routes {
+		sh.routes[t] = sh.routes[t][:0]
+	}
+	sh.arena[0] = sh.arena[0][:0]
+	sh.arena[1] = sh.arena[1][:0]
+	for p := range sh.portBits {
+		sh.portBits[p] = 0
+	}
+	sh.touched = sh.touched[:0]
+	sh.err, sh.errV = nil, 0
+	sh.copies = sh.copies[:0]
+	sh.delayed = sh.delayed[:0]
+	sh.events = sh.events[:0]
+	sh.halts = sh.halts[:0]
+	sh.messages, sh.bits, sh.maxMsgBits, sh.faults = 0, 0, 0, FaultStats{}
 }
 
 // acquire returns a reset scratch for the layout, reusing an idle one when
@@ -160,6 +181,9 @@ func (p *ScratchPool) acquire(key scratchKey) *engineScratch {
 // release returns a scratch to the pool once its run has fully completed
 // (beyond the per-key cap it is dropped for the GC).
 func (p *ScratchPool) release(sc *engineScratch) {
+	for _, sh := range sc.shards {
+		sh.nodes, sh.envs = nil, nil // do not keep the finished run's programs alive
+	}
 	p.mu.Lock()
 	if len(p.cache[sc.key]) < p.perKey {
 		p.cache[sc.key] = append(p.cache[sc.key], sc)

@@ -6,59 +6,23 @@ import (
 	"repro/internal/congest/transport"
 )
 
-// SubEngine runs the engine's per-shard phases for one contiguous vertex
-// range [lo, hi) of a K-way partition, with the route phase cut open at the
-// process boundary: instead of writing into sibling shards' inboxes, the
-// sub-engine emits validated, bucketed wire messages (EmitBatch) and
-// ingests the coordinator's deterministic merge (Deliver). Every rule the
-// in-process engine applies — port and bandwidth validation in
-// sender-vertex order, the receiver-side drop rule for same-round halts,
-// receiver-side stats accounting — is reproduced bit for bit, so a
-// multi-process run is indistinguishable from a single-process one at any
-// shard count (see engine.go for the determinism argument; the merge order
-// contract is documented on Deliver).
-//
-// The phase sequence per round mirrors engine.stepRound:
-//
-//	Compute(r) -> EmitBatch(r) -> [wire] -> Deliver(r, merged) -> Compact(r)
-//
-// with RunInit standing in for Compute+EmitBatch in round 0.
+// SubEngine is one shard of the engine — the vertex range [lo, hi) of a
+// K-way partition — run in its own process. Its round is the engine's two
+// phases cut open at the process boundary: Send runs the shard's sender
+// side and returns its buckets, which travel over the wire instead of to
+// sibling shards; Receive runs the receiver side on the coordinator's merge.
+// Both phases are the engine's own code, so a multi-process run is
+// indistinguishable from a single-process one at any shard count.
 type SubEngine struct {
-	sim       *Simulator
-	lo, hi    int // owned vertex range
-	n         int
-	shardSize int // ceil(n / shards): the wire partition, not scratchLayout's
-	nShards   int
-	bandwidth int
-	unbounded bool
-	withKinds bool // attach sender trace tags + sequence numbers to messages
-
-	nodes         []Node // index v-lo
-	envs          []*Env // index v-lo
-	outs          [][]Outgoing
-	halted, dones []bool
-	active        []int32 // absolute vertex numbers, ascending
-
-	// inboxes is double-buffered by round parity exactly like the engine's:
-	// Deliver in round r fills inboxes[r&1], Compute in round r+1 reads it.
-	inboxes [2][][]Incoming
-
-	// routes[t] buffers this range's messages to shard t; arena holds the
-	// payload copies. Both are reused across rounds and are only valid until
-	// the next EmitBatch/RunInit call (the caller encodes them onto the wire
-	// before advancing the round, so nothing outlives its bytes).
-	routes [][]transport.Msg
-	arena  []byte
-
-	portBits []int
-	touched  []int
-	round    int
+	e  *engine
+	sh *shard
 }
 
 // NewSubEngine builds the sub-engine for shard `index` of a `shards`-way
 // partition of sim's graph. factory receives absolute vertex indices, like
 // Simulator.Run's. withKinds turns on per-message trace metadata (sender
-// tag + emission sequence number) for the coordinator's trace merge.
+// tag + emission sequence number) and receiver trace events for the
+// coordinator's trace merge.
 func NewSubEngine(sim *Simulator, shards, index int, factory func(vertex int) Node, withKinds bool) (*SubEngine, error) {
 	n := sim.g.NumVertices()
 	if shards < 1 {
@@ -68,356 +32,113 @@ func NewSubEngine(sim *Simulator, shards, index int, factory func(vertex int) No
 		return nil, fmt.Errorf("congest: shard index %d out of range [0,%d)", index, shards)
 	}
 	shardSize := (n + shards - 1) / shards
-	lo := index * shardSize
-	hi := lo + shardSize
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	se := &SubEngine{
-		sim:       sim,
-		lo:        lo,
-		hi:        hi,
-		n:         n,
-		shardSize: shardSize,
-		nShards:   shards,
-		bandwidth: sim.opts.bandwidth(n),
-		unbounded: sim.opts.Unbounded,
-		withKinds: withKinds,
-	}
-	size := hi - lo
-	se.nodes = make([]Node, size)
-	se.envs = sim.buildEnvs(lo, hi, se.bandwidth)
-	se.outs = make([][]Outgoing, size)
-	se.halted = make([]bool, size)
-	se.dones = make([]bool, size)
-	se.active = make([]int32, 0, size)
+	lo := min(index*shardSize, n)
+	hi := min(lo+shardSize, n)
 	maxDeg := 0
 	for v := lo; v < hi; v++ {
-		se.nodes[v-lo] = factory(v)
-		se.active = append(se.active, int32(v))
-		if d := se.sim.csr.degree(v); d > maxDeg {
-			maxDeg = d
-		}
+		maxDeg = max(maxDeg, sim.csr.degree(v))
 	}
-	se.inboxes[0] = make([][]Incoming, size)
-	se.inboxes[1] = make([][]Incoming, size)
-	se.routes = make([][]transport.Msg, shards)
-	se.portBits = make([]int, maxDeg)
-	se.touched = make([]int, 0, maxDeg)
-	return se, nil
+	size := hi - lo
+	sh := newShard(lo, hi, shards, maxDeg)
+	sh.nodes = make([]Node, size)
+	for v := lo; v < hi; v++ {
+		sh.nodes[v-lo] = factory(v)
+	}
+	bandwidth := sim.opts.bandwidth(n)
+	sh.envs = sim.buildEnvs(lo, hi, bandwidth)
+	sh.outs = make([][]Outgoing, size)
+	sh.halted = make([]bool, size)
+	sh.dones = make([]bool, size)
+	sh.inboxes = [2][][]Incoming{make([][]Incoming, size), make([][]Incoming, size)}
+	sh.reset()
+	e := &engine{
+		s:         sim,
+		n:         n,
+		bandwidth: bandwidth,
+		unbounded: sim.opts.Unbounded,
+		shards:    []*shard{sh},
+		shardSize: shardSize,
+		traced:    withKinds,
+		corrupt:   sim.opts.CorruptProb,
+	}
+	e.faulty = e.corrupt > 0
+	return &SubEngine{e: e, sh: sh}, nil
 }
-
-// Bandwidth returns the per-edge per-round budget in bits.
-func (se *SubEngine) Bandwidth() int { return se.bandwidth }
 
 // Range returns the owned vertex range [lo, hi).
-func (se *SubEngine) Range() (lo, hi int) { return se.lo, se.hi }
+func (se *SubEngine) Range() (lo, hi int) { return se.sh.lo, se.sh.hi }
 
 // Node returns the node program of an owned vertex.
-func (se *SubEngine) Node(v int) Node { return se.nodes[v-se.lo] }
+func (se *SubEngine) Node(v int) Node { return se.sh.nodes[v-se.sh.lo] }
 
-// shardOf maps a vertex to its wire shard (the K-way partition).
-func (se *SubEngine) shardOf(v int32) int { return int(v) / se.shardSize }
-
-// checkedSize is engine.checkedSize for the sub-engine: the single-message
-// cap first, then the aggregate per-(sender, port) per-round cap. The error
-// text is identical, so cross-process and in-process failures match.
-func (se *SubEngine) checkedSize(v int32, p, payloadLen int) (int, error) {
-	sizeBits := 8 * payloadLen
-	if se.unbounded {
-		return sizeBits, nil
+// Send runs the shard's sender side of the round: the node programs (Init in
+// round 0), then validation of every outbox in sender-vertex order. It
+// returns the messages bucketed by receiver shard, valid until the next Send
+// call. On a validation failure it returns the offending vertex (the
+// coordinator keeps the globally lowest one, as engine.firstError does) and
+// the engine's error value.
+func (se *SubEngine) Send(round int) (sub [][]transport.Msg, errVertex int, err error) {
+	se.e.round = round
+	se.e.sendShard(0)
+	if se.sh.err != nil {
+		return nil, se.sh.errV, se.sh.err
 	}
-	if sizeBits > se.bandwidth {
-		return 0, fmt.Errorf("%w: %d bits > %d-bit budget (node %d, port %d)",
-			ErrMessageTooLarge, sizeBits, se.bandwidth, se.sim.ids[v], p)
-	}
-	if se.portBits[p] == 0 {
-		se.touched = append(se.touched, p)
-	}
-	se.portBits[p] += sizeBits
-	if se.portBits[p] > se.bandwidth {
-		return 0, fmt.Errorf("%w: %d bits in one round > %d-bit budget (node %d, port %d)",
-			ErrBandwidthExceeded, se.portBits[p], se.bandwidth, se.sim.ids[v], p)
-	}
-	return sizeBits, nil
+	return se.sh.routes, -1, nil
 }
 
-// emit validates one sender's outbox in emission order and buckets the
-// messages by receiver shard, copying payloads into the round arena. It is
-// senderShard's per-vertex body with the inbox write replaced by a wire
-// bucket; validation order and error values are identical.
-func (se *SubEngine) emit(v int32, out []Outgoing) error {
-	defer resetPortBits(se.portBits, &se.touched)
-	csr := se.sim.csr
-	base := csr.off[v]
-	deg := int(csr.off[v+1] - base)
-	kind := ""
-	if se.withKinds {
-		kind = se.envs[int(v)-se.lo].kind
-	}
-	seq := int32(0)
-	for _, o := range out {
-		lo, hi := o.Port, o.Port+1
-		if o.Port == -1 {
-			lo, hi = 0, deg
-		}
-		for p := lo; p < hi; p++ {
-			if p < 0 || p >= deg {
-				return fmt.Errorf("congest: node %d sent to invalid port %d", se.sim.ids[v], p)
+// Receive runs the shard's receiver side of the round on the coordinator's
+// merge: first the frame-delayed copies due this round, then the round's
+// traffic, which MUST be concatenated over sender shards in shard-index
+// order (global sender-vertex order), then compaction. It returns the
+// round's REPORT. Message payloads alias the caller's buffers; like engine
+// inboxes they are valid only until the node's next Round call.
+func (se *SubEngine) Receive(round int, delayed, msgs []transport.Msg) (transport.Report, error) {
+	for _, list := range [][]transport.Msg{delayed, msgs} {
+		for _, m := range list {
+			if err := se.checkMsg(m); err != nil {
+				return transport.Report{}, err
 			}
-			if _, err := se.checkedSize(v, p, len(o.Payload)); err != nil {
-				return err
-			}
-			w := csr.nbr[base+int32(p)]
-			start := len(se.arena)
-			se.arena = append(se.arena, o.Payload...)
-			t := se.shardOf(w)
-			se.routes[t] = append(se.routes[t], transport.Msg{
-				From: v, To: w, Port: csr.back[base+int32(p)], Seq: seq,
-				Kind: kind, Payload: se.arena[start:len(se.arena):len(se.arena)],
-			})
-			seq++
 		}
 	}
-	return nil
-}
-
-// resetRoutes clears the per-round buckets and arena.
-func (se *SubEngine) resetRoutes() {
-	se.arena = se.arena[:0]
-	for t := range se.routes {
-		se.routes[t] = se.routes[t][:0]
-	}
-}
-
-// RunInit executes round 0: Init on every owned vertex in ascending order,
-// each outbox validated and bucketed immediately — so a validation failure
-// at vertex v surfaces before any later vertex runs Init, exactly like the
-// engine's serial init phase. On failure the offending vertex is returned
-// for the coordinator's lowest-vertex error merge. The buckets are valid
-// until the next EmitBatch/RunInit call.
-func (se *SubEngine) RunInit() (sub [][]transport.Msg, errVertex int, err error) {
-	se.round = 0
-	se.resetRoutes()
-	for v := se.lo; v < se.hi; v++ {
-		env := se.envs[v-se.lo]
-		env.Round = 0
-		out := se.nodes[v-se.lo].Init(env)
-		if err := se.emit(int32(v), out); err != nil {
-			return nil, v, err
-		}
-	}
-	return se.routes, -1, nil
-}
-
-// Compute runs the node programs of the still-active owned vertices for the
-// given round, consuming the inboxes Deliver filled in round-1.
-func (se *SubEngine) Compute(round int) {
-	se.round = round
-	readGen := (round + 1) & 1
-	inboxes := se.inboxes[readGen]
-	for _, v := range se.active {
-		i := int(v) - se.lo
-		env := se.envs[i]
-		env.Round = round
-		inbox := inboxes[i]
-		sortInbox(inbox)
-		se.outs[i], se.dones[i] = se.nodes[i].Round(env, inbox)
-		inboxes[i] = inbox[:0]
-	}
-}
-
-// EmitBatch validates the round's outboxes in sender-vertex order and
-// returns them bucketed by receiver shard. On a validation failure it
-// returns the offending vertex (the coordinator keeps the globally lowest
-// one, matching engine.firstError) and the engine's error value. The
-// buckets are valid until the next EmitBatch/RunInit call.
-func (se *SubEngine) EmitBatch(round int) (sub [][]transport.Msg, errVertex int, err error) {
-	se.resetRoutes()
-	for _, v := range se.active {
-		i := int(v) - se.lo
-		out := se.outs[i]
-		if len(out) == 0 {
-			continue
-		}
-		se.outs[i] = nil
-		if err := se.emit(v, out); err != nil {
-			return nil, int(v), err
-		}
-	}
-	return se.routes, -1, nil
-}
-
-// DeliverStats is what one Deliver call contributed: the same per-round
-// counters engine.receiverShard accumulates for this shard, plus delayed
-// copies lost to halted receivers and the receiver-observed trace events
-// (withKinds only).
-type DeliverStats struct {
-	Messages   int64
-	Bits       int64
-	MaxMsgBits int
-	Lost       int64
-	Events     []transport.Event
-}
-
-// Deliver ingests the coordinator's merge for this receiver shard in round
-// `round`: first the fault-delayed copies due this round (dropped only if
-// the receiver already halted — engine.flushDelayed's rule), then the
-// round's normal traffic, which MUST be concatenated over sender shards in
-// shard-index order (global sender-vertex order). The normal-traffic drop
-// rule is the engine's receiver-side rule verbatim: a message is dropped,
-// uncounted, if the receiver halted in an earlier round or halts this round
-// and precedes the sender in vertex order.
-//
-// Message payloads alias the caller's buffers; like engine inboxes they are
-// valid only until the node's next Round call, which is the documented
-// contract node programs already obey.
-func (se *SubEngine) Deliver(round int, delayed, msgs []transport.Msg) (DeliverStats, error) {
-	var ds DeliverStats
-	gen := round & 1
-	inboxes := se.inboxes[gen]
+	e, sh := se.e, se.sh
+	e.round = round
+	e.beginDeliver(sh)
 	for _, m := range delayed {
-		i, err := se.checkMsg(m)
-		if err != nil {
-			return ds, err
-		}
-		if se.halted[i] {
-			ds.Lost++
-			continue
-		}
-		inboxes[i] = append(inboxes[i], Incoming{Port: int(m.Port), Payload: Message(m.Payload)})
-		sizeBits := 8 * len(m.Payload)
-		ds.Messages++
-		ds.Bits += int64(sizeBits)
-		if sizeBits > ds.MaxMsgBits {
-			ds.MaxMsgBits = sizeBits
-		}
+		e.deliverLate(sh, m, round)
 	}
-	for _, m := range msgs {
-		i, err := se.checkMsg(m)
-		if err != nil {
-			return ds, err
-		}
-		if se.halted[i] || (se.dones[i] && m.To < m.From) {
-			continue
-		}
-		inboxes[i] = append(inboxes[i], Incoming{Port: int(m.Port), Payload: Message(m.Payload)})
-		sizeBits := 8 * len(m.Payload)
-		ds.Messages++
-		ds.Bits += int64(sizeBits)
-		if sizeBits > ds.MaxMsgBits {
-			ds.MaxMsgBits = sizeBits
-		}
-		if se.withKinds {
-			ds.Events = append(ds.Events, transport.Event{
-				From: m.From, Seq: m.Seq, To: m.To, Port: m.Port,
-				Bits: int32(sizeBits), Kind: m.Kind,
+	e.deliver(sh, msgs)
+	e.compact(sh)
+	rep := transport.Report{
+		Messages:   sh.messages,
+		Bits:       sh.bits,
+		MaxMsgBits: int32(sh.maxMsgBits),
+		Lost:       sh.faults.Lost,
+		Halted:     sh.halts,
+	}
+	for _, ev := range sh.events {
+		if ev.Fault == "" {
+			rep.Events = append(rep.Events, transport.Event{
+				From: ev.From, Seq: ev.Seq, To: ev.To, Port: ev.Port, Bits: ev.Bits, Kind: ev.Kind,
 			})
 		}
 	}
-	return ds, nil
+	sh.messages, sh.bits, sh.maxMsgBits, sh.faults = 0, 0, 0, FaultStats{}
+	return rep, nil
 }
 
 // checkMsg bounds-checks a wire message against the topology before any
 // slice indexing, so a corrupt or hostile frame yields an error instead of
-// a panic. Returns the receiver's local index.
-func (se *SubEngine) checkMsg(m transport.Msg) (int, error) {
-	if m.To < int32(se.lo) || m.To >= int32(se.hi) {
-		return 0, fmt.Errorf("congest: delivered message for vertex %d outside shard range [%d,%d)", m.To, se.lo, se.hi)
+// a panic.
+func (se *SubEngine) checkMsg(m transport.Msg) error {
+	lo, hi := se.sh.lo, se.sh.hi
+	if m.To < int32(lo) || m.To >= int32(hi) {
+		return fmt.Errorf("congest: delivered message for vertex %d outside shard range [%d,%d)", m.To, lo, hi)
 	}
-	if m.From < 0 || m.From >= int32(se.n) {
-		return 0, fmt.Errorf("congest: delivered message from invalid vertex %d", m.From)
+	if m.From < 0 || m.From >= int32(se.e.n) {
+		return fmt.Errorf("congest: delivered message from invalid vertex %d", m.From)
 	}
-	if m.Port < 0 || int(m.Port) >= se.sim.csr.degree(int(m.To)) {
-		return 0, fmt.Errorf("congest: delivered message for vertex %d on invalid port %d", m.To, m.Port)
+	if m.Port < 0 || int(m.Port) >= se.e.s.csr.degree(int(m.To)) {
+		return fmt.Errorf("congest: delivered message for vertex %d on invalid port %d", m.To, m.Port)
 	}
-	return int(m.To) - se.lo, nil
-}
-
-// Compact marks the owned vertices that halted this round, removes them
-// from the active list, and returns them in ascending vertex order (the
-// coordinator's halt-trace and termination input).
-func (se *SubEngine) Compact(round int) []int32 {
-	var haltedNow []int32
-	for _, v := range se.active {
-		i := int(v) - se.lo
-		if se.dones[i] && !se.halted[i] {
-			se.halted[i] = true
-			haltedNow = append(haltedNow, v)
-		}
-	}
-	if len(haltedNow) == 0 {
-		return nil
-	}
-	k := 0
-	for _, v := range se.active {
-		if !se.halted[int(v)-se.lo] {
-			se.active[k] = v
-			k++
-		}
-	}
-	se.active = se.active[:k]
-	return haltedNow
-}
-
-// buildEnvs builds the node-local views for vertices [lo, hi) on flat
-// arenas, exactly as a full-simulation run does (see startRun): one Env per
-// vertex, port-indexed fields sliced from range-wide backing arrays, label
-// maps materialized only when the graph carries labels.
-func (s *Simulator) buildEnvs(lo, hi, bandwidth int) []*Env {
-	n := s.g.NumVertices()
-	base := s.csr.off[lo]
-	ports := int(s.csr.off[hi] - base)
-	envs := make([]*Env, hi-lo)
-	envArr := make([]Env, hi-lo)
-	nbrIDArena := make([]int, ports)
-	weightArena := make([]int64, ports)
-	labelArena := make([]map[string]bool, ports)
-	vertexLabelNames := s.g.VertexLabelNames()
-	edgeLabelNames := s.g.EdgeLabelNames()
-	for v := lo; v < hi; v++ {
-		plo, phi := s.csr.off[v]-base, s.csr.off[v+1]-base
-		nbrIDs := nbrIDArena[plo:phi:phi]
-		portWeight := weightArena[plo:phi:phi]
-		portLabels := labelArena[plo:phi:phi]
-		for p := int32(0); p < phi-plo; p++ {
-			nbrIDs[p] = s.ids[s.csr.nbr[base+plo+p]]
-			eid := int(s.csr.edge[base+plo+p])
-			portWeight[p] = s.g.EdgeWeight(eid)
-			if len(edgeLabelNames) > 0 {
-				labels := make(map[string]bool, len(edgeLabelNames))
-				for _, name := range edgeLabelNames {
-					if s.g.HasEdgeLabel(name, eid) {
-						labels[name] = true
-					}
-				}
-				portLabels[p] = labels
-			}
-		}
-		var labels map[string]bool
-		if len(vertexLabelNames) > 0 {
-			labels = make(map[string]bool, len(vertexLabelNames))
-			for _, name := range vertexLabelNames {
-				if s.g.HasVertexLabel(name, v) {
-					labels[name] = true
-				}
-			}
-		}
-		envArr[v-lo] = Env{
-			ID:          s.ids[v],
-			Degree:      int(phi - plo),
-			NeighborIDs: nbrIDs,
-			Bandwidth:   bandwidth,
-			N:           n,
-			Weight:      s.g.VertexWeight(v),
-			Labels:      labels,
-			PortWeight:  portWeight,
-			PortLabels:  portLabels,
-		}
-		envs[v-lo] = &envArr[v-lo]
-	}
-	return envs
+	return nil
 }

@@ -2,8 +2,11 @@ package congest
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -29,8 +32,9 @@ type SendEvent struct {
 }
 
 // Tracer observes a simulation at round granularity. All hooks are invoked
-// from the simulator's delivery loop, which is single-threaded even when
-// Options.Parallel is set, so implementations need no locking. A nil Tracer
+// from the goroutine driving the run, never from the worker pool, so
+// implementations need no locking. Send, fault and halt events are buffered
+// during a round and replayed at its end (see ReplayRound). A nil Tracer
 // in Options disables tracing with no measurable cost (a single pointer
 // comparison per hook site).
 type Tracer interface {
@@ -66,9 +70,8 @@ type FaultEvent struct {
 }
 
 // FaultTracer is an optional extension a Tracer may implement to observe
-// injected faults. Like all tracer hooks, Fault is invoked serially from the
-// delivery loop. Tracers that do not implement it simply see the surviving
-// traffic.
+// injected faults. Like all tracer hooks, Fault is invoked serially.
+// Tracers that do not implement it simply see the surviving traffic.
 type FaultTracer interface {
 	Fault(e FaultEvent)
 }
@@ -90,8 +93,6 @@ func newTraceSink(t Tracer) traceSink {
 	return ts
 }
 
-func (ts traceSink) enabled() bool { return ts.t != nil }
-
 func (ts traceSink) fault(e FaultEvent) {
 	if ts.ft != nil {
 		ts.ft.Fault(e)
@@ -110,18 +111,6 @@ func (ts traceSink) roundStart(round int) {
 	}
 }
 
-func (ts traceSink) send(e SendEvent) {
-	if ts.t != nil {
-		ts.t.Send(e)
-	}
-}
-
-func (ts traceSink) nodeHalted(round, id int) {
-	if ts.t != nil {
-		ts.t.NodeHalted(round, id)
-	}
-}
-
 func (ts traceSink) roundEnd(round, active, halted int) {
 	if ts.t != nil {
 		ts.t.RoundEnd(round, active, halted)
@@ -131,6 +120,58 @@ func (ts traceSink) roundEnd(round, active, halted int) {
 func (ts traceSink) runEnd(stats Stats) {
 	if ts.t != nil {
 		ts.t.RunEnd(stats)
+	}
+}
+
+// HaltSeq is the Seq of a halt TraceEvent: a node's halt replays after all
+// of its sends.
+const HaltSeq = math.MaxInt32
+
+// TraceEvent is one send, fault or halt event buffered while a round's
+// deliveries run in parallel. It carries the key of the message it belongs
+// to — the round the message was sent in, its sender vertex, and the
+// sender's per-round emission index — so ReplayRound can restore the order
+// a serial pass over senders would have produced. A halt has From set to the
+// halting vertex and Seq = HaltSeq; a fault event has Fault set to its
+// FaultEvent kind; every other event is a send.
+type TraceEvent struct {
+	Sent, From, Seq        int32
+	To, Port, Bits, Detail int32
+	Fault, Kind            string
+}
+
+// ReplayRound feeds one round's buffered events to tr in the serial order:
+// copies sent in earlier rounds (delayed) first, in the order they were
+// deferred, then ascending sender vertex, each sender's messages in emission
+// order, and a sender's halt after its messages. Events sharing a key belong
+// to one message and were buffered by one shard in order, so the stable sort
+// keeps them in sequence. ids maps vertices to identifiers. Both the engine
+// and the multi-process coordinator replay through it.
+func ReplayRound(tr Tracer, round int, ids []int, evs []TraceEvent) {
+	slices.SortStableFunc(evs, func(a, b TraceEvent) int {
+		if c := cmp.Compare(a.Sent, b.Sent); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
+	ft, _ := tr.(FaultTracer)
+	for _, ev := range evs {
+		switch {
+		case ev.Seq == HaltSeq:
+			tr.NodeHalted(round, ids[ev.From])
+		case ev.Fault != "":
+			if ft != nil {
+				ft.Fault(FaultEvent{Round: round, Kind: ev.Fault, FromID: ids[ev.From], ToID: ids[ev.To], Detail: int(ev.Detail)})
+			}
+		default:
+			tr.Send(SendEvent{
+				Round: round, FromID: ids[ev.From], ToID: ids[ev.To],
+				Port: int(ev.Port), SizeBits: int(ev.Bits), Kind: ev.Kind,
+			})
+		}
 	}
 }
 

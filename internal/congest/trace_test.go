@@ -40,7 +40,12 @@ func tracePath4(t *testing.T) *graph.Graph {
 
 func runTraceProtocol(t *testing.T, tracer Tracer) Stats {
 	t.Helper()
-	sim, err := NewSimulator(tracePath4(t), Options{Tracer: tracer})
+	return runTraceProtocolOpts(t, Options{Tracer: tracer})
+}
+
+func runTraceProtocolOpts(t *testing.T, opts Options) Stats {
+	t.Helper()
+	sim, err := NewSimulator(tracePath4(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,32 +57,35 @@ func runTraceProtocol(t *testing.T, tracer Tracer) Stats {
 }
 
 // TestGoldenTrace locks the NDJSON event stream of a fixed protocol on a
-// fixed graph against a committed golden file. Regenerate intentionally
-// with: UPDATE_GOLDEN=1 go test ./internal/congest -run TestGoldenTrace
+// fixed graph against a committed golden file, sequentially and on a
+// 4-worker pool. Regenerate intentionally with:
+// UPDATE_GOLDEN=1 go test ./internal/congest -run TestGoldenTrace
 func TestGoldenTrace(t *testing.T) {
-	var buf bytes.Buffer
-	tracer := NewNDJSONTracer(&buf)
-	runTraceProtocol(t, tracer)
-	if err := tracer.Err(); err != nil {
-		t.Fatal(err)
-	}
-
 	golden := filepath.Join("testdata", "golden_trace.ndjson")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	for _, opts := range []Options{{}, {Parallel: true, Workers: 4}} {
+		var buf bytes.Buffer
+		tracer := NewNDJSONTracer(&buf)
+		opts.Tracer = tracer
+		runTraceProtocolOpts(t, opts)
+		if err := tracer.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		if os.Getenv("UPDATE_GOLDEN") != "" && !opts.Parallel {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace diverged from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, buf.Bytes(), want)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("parallel=%v: trace diverged from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
+				opts.Parallel, golden, buf.Bytes(), want)
+		}
 	}
 }
 
@@ -168,8 +176,7 @@ func TestNilTracerHooksAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		ts.runStart(RunInfo{N: 8, Edges: 7, Bandwidth: 16})
 		ts.roundStart(1)
-		ts.send(SendEvent{Round: 1, FromID: 1, ToID: 2, Port: 0, SizeBits: 16, Kind: "elim"})
-		ts.nodeHalted(1, 1)
+		ts.fault(FaultEvent{Round: 1, Kind: "drop", FromID: 1, ToID: 2})
 		ts.roundEnd(1, 7, 1)
 		ts.runEnd(Stats{})
 	})

@@ -478,7 +478,7 @@ func DecodeBatch(p []byte) (Batch, error) {
 
 // Deliver is the coordinator's merged incoming traffic for one receiver
 // shard: Delayed holds fault-deferred copies due this round (delivered
-// before normal traffic, like the engine's flushDelayed), Msgs the round's
+// before normal traffic, like the engine's own delayed copies), Msgs the round's
 // normal traffic concatenated over sender shards in shard-index order —
 // which is global sender-vertex order.
 type Deliver struct {
@@ -518,7 +518,7 @@ type Event struct {
 const eventMinSize = 5*4 + 4
 
 // Report closes a worker's round: the delivery counters its shard
-// contributed (the same quantities engine.receiverShard accumulates),
+// contributed (the same quantities an engine delivery shard accumulates),
 // messages lost to halted receivers of delayed copies, the vertices that
 // halted this round (ascending), and the trace events when tracing.
 type Report struct {

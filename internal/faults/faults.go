@@ -5,12 +5,13 @@
 // congest.FaultInjector, so a schedule plugs into a run via
 // congest.Options.Injector.
 //
-// Every decision is a pure function of (Config, the engine's call sequence):
-// the injector owns two PRNG streams seeded from Config.Seed — one consumed
-// by per-message draws in OnSend (which the engine calls serially in global
-// sender-vertex delivery order), one by per-node crash draws in RoundStart —
-// so the same Config replays the same chaos run bit-for-bit at any worker
-// count, and message faults never perturb crash schedules.
+// Every message decision is a pure hash (congest.KeyedDraw) of Config.Seed
+// and the message's (round, sender, seq) key, so the engine's delivery
+// shards may evaluate them concurrently and in any order. Crash draws come
+// from a PRNG stream seeded from Config.Seed and consumed serially in
+// RoundStart. The same Config therefore replays the same chaos run
+// bit-for-bit at any worker count, and message faults never perturb crash
+// schedules.
 package faults
 
 import (
@@ -67,17 +68,6 @@ type Config struct {
 	MaxOutage int
 }
 
-// Noop reports whether the schedule can never perturb a run: every effective
-// rate is zero after clamping (a positive ReorderRate is still inert when the
-// window clamps to zero). Drivers use this to skip the injector — and the
-// serial delivery it forces — when the requested chaos is vacuous.
-func (c Config) Noop() bool {
-	return clamp01(c.DropRate) == 0 &&
-		clamp01(c.DupRate) == 0 &&
-		clamp01(c.CrashRate) == 0 &&
-		(clamp01(c.ReorderRate) == 0 || c.ReorderWindow <= 0)
-}
-
 func clamp01(x float64) float64 {
 	// NaN compares false to everything; map it to 0 explicitly.
 	if !(x > 0) {
@@ -111,9 +101,10 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Quiet reports whether the schedule injects nothing: an Injector over a
-// quiet Config is fully transparent (it draws no randomness at all, so even
-// co-installed CorruptProb streams are unaffected).
+// Quiet reports whether the schedule injects nothing: every effective rate
+// is zero after clamping (a positive ReorderRate is inert when the window
+// clamps to zero). An Injector over a quiet Config is fully transparent, so
+// drivers skip installing it.
 func (c Config) Quiet() bool {
 	c = c.normalized()
 	return c.DropRate == 0 && c.DupRate == 0 && c.CrashRate == 0 &&
@@ -128,13 +119,13 @@ func (c Config) String() string {
 		c.CrashRate, c.MinOutage, c.MaxOutage)
 }
 
-// Injector realizes a Config as a congest.FaultInjector. Not safe for
-// concurrent use by multiple simulations; the engine's contract (serial
-// RunStart/RoundStart/OnSend, read-only NodeDown) is exactly what it needs.
+// Injector realizes a Config as a congest.FaultInjector. One Injector
+// serves one simulation at a time; the engine's contract (serial
+// RunStart/RoundStart, concurrent read-only NodeDown and OnSend) is exactly
+// what it needs.
 type Injector struct {
 	cfg   Config
 	n     int
-	msg   *rand.Rand // per-message draws, consumed in delivery order
 	crash *rand.Rand // per-node crash draws, consumed in vertex order
 
 	down       []bool
@@ -154,7 +145,6 @@ func (inj *Injector) Config() Config { return inj.cfg }
 // RunStart implements congest.FaultInjector.
 func (inj *Injector) RunStart(n int) {
 	inj.n = n
-	inj.msg = rand.New(rand.NewSource(inj.cfg.Seed))
 	inj.crash = rand.New(rand.NewSource(inj.cfg.Seed ^ crashStreamSalt))
 	if cap(inj.down) < n {
 		inj.down = make([]bool, n)
@@ -170,8 +160,8 @@ func (inj *Injector) RunStart(n int) {
 
 // RoundStart implements congest.FaultInjector: running outages tick down,
 // and each up node crashes with CrashRate for a uniform 1..MaxOutage-round
-// outage. Crash draws come from their own stream, so message traffic (and
-// therefore OnSend draw counts) cannot shift crash schedules.
+// outage. Crash draws come from their own stream, so message traffic cannot
+// shift crash schedules.
 func (inj *Injector) RoundStart(round int) {
 	if inj.cfg.CrashRate <= 0 {
 		return
@@ -199,26 +189,43 @@ func (inj *Injector) RoundStart(round int) {
 // RoundStart computed (safe for concurrent readers).
 func (inj *Injector) NodeDown(round, vertex int) bool { return inj.down[vertex] }
 
-// OnSend implements congest.FaultInjector. Draws are made only for
-// mechanisms the Config enables, so a schedule with one knob turned replays
-// identically when the other knobs stay zero.
-func (inj *Injector) OnSend(round, from, to int) congest.FaultPlan {
-	var plan congest.FaultPlan
-	if inj.cfg.DropRate > 0 && inj.msg.Float64() < inj.cfg.DropRate {
-		plan.Drop = true
+// OnSend implements congest.FaultInjector as a pure function of the
+// message key, so the engine may call it concurrently. Each mechanism draws
+// on its own lane, so a schedule with one knob turned replays identically
+// when the other knobs change.
+func (inj *Injector) OnSend(round, from, to, seq int) congest.FaultPlan {
+	return plan(inj.cfg, round, from, seq)
+}
+
+// plan draws the drop/dup/delay decisions of one message or frame keyed by
+// (round, a, b). Injector keys messages by (sender, seq), FrameInjector
+// frames by (source, destination shard).
+func plan(c Config, round, a, b int) congest.FaultPlan {
+	draw := func(lane uint64) float64 { return congest.KeyedDraw(c.Seed, round, a, b, lane) }
+	var p congest.FaultPlan
+	if c.DropRate > 0 && draw(laneDrop) < c.DropRate {
+		p.Drop = true
 	}
-	if inj.cfg.DupRate > 0 && inj.msg.Float64() < inj.cfg.DupRate {
-		plan.Dup = 1
-		if inj.cfg.ReorderWindow > 0 {
-			plan.DupDelay = inj.msg.Intn(inj.cfg.ReorderWindow + 1)
+	if c.DupRate > 0 && draw(laneDup) < c.DupRate {
+		p.Dup = 1
+		if c.ReorderWindow > 0 {
+			p.DupDelay = int(draw(laneDupDelay) * float64(c.ReorderWindow+1))
 		}
 	}
-	if !plan.Drop && inj.cfg.ReorderRate > 0 && inj.cfg.ReorderWindow > 0 &&
-		inj.msg.Float64() < inj.cfg.ReorderRate {
-		plan.Delay = 1 + inj.msg.Intn(inj.cfg.ReorderWindow)
+	if !p.Drop && c.ReorderRate > 0 && c.ReorderWindow > 0 && draw(laneDelay) < c.ReorderRate {
+		p.Delay = 1 + int(draw(laneDelay^laneDup)*float64(c.ReorderWindow))
 	}
-	return plan
+	return p
 }
+
+// Per-decision lanes keep the drop/dup/delay draws of one key independent:
+// each decision hashes the same key mixed with its own salt.
+const (
+	laneDrop     = 0x9E3779B97F4A7C15
+	laneDup      = 0xC2B2AE3D27D4EB4F
+	laneDupDelay = 0x165667B19E3779F9
+	laneDelay    = 0x27D4EB2F165667C5
+)
 
 // DecodeSchedule derives a Config from arbitrary bytes — the fuzzing entry
 // point: any input decodes to a safe, normalized schedule, and equal inputs

@@ -9,21 +9,11 @@ package faults
 // lossy datagram network between shard processes; protocols.Reliable's ARQ
 // runs unchanged on top and must recover the run.
 //
-// Unlike Injector, FrameInjector is stateless: every decision is a pure
-// hash of (Seed, round, source shard, destination shard), so the coordinator
-// can evaluate plans in any order — or re-evaluate them after a retry —
-// and the schedule never shifts. Intra-shard batches (src == dst) are never
-// touched; they model a process's loopback, which real networks do not
-// lose.
-
-// Per-decision lanes keep the drop/dup/delay draws of one frame
-// independent: each decision hashes the same key mixed with its own salt.
-const (
-	frameLaneDrop     = 0x9E3779B97F4A7C15
-	frameLaneDup      = 0xC2B2AE3D27D4EB4F
-	frameLaneDupDelay = 0x165667B19E3779F9
-	frameLaneDelay    = 0x27D4EB2F165667C5
-)
+// Like Injector's message faults, every decision is a pure hash of (Seed,
+// round, source shard, destination shard), so the coordinator can evaluate
+// plans in any order — or re-evaluate them after a retry — and the schedule
+// never shifts. Intra-shard batches (src == dst) are never touched; they
+// model a process's loopback, which real networks do not lose.
 
 // FramePlan describes what the transport does to one shard-to-shard batch.
 // The zero value is transparent delivery.
@@ -67,36 +57,9 @@ func (fi *FrameInjector) Quiet() bool {
 // to shard dst. Pure: equal arguments (under an equal Config) always return
 // equal plans. Intra-shard frames are always delivered untouched.
 func (fi *FrameInjector) OnFrame(round, src, dst int) FramePlan {
-	var plan FramePlan
 	if src == dst {
-		return plan
+		return FramePlan{}
 	}
-	key := uint64(fi.cfg.Seed) ^
-		uint64(round)*0x9E3779B97F4A7C15 ^
-		uint64(src)*0xBF58476D1CE4E5B9 ^
-		uint64(dst)*0x94D049BB133111EB
-	if fi.cfg.DropRate > 0 && frameDraw(key, frameLaneDrop) < fi.cfg.DropRate {
-		plan.Drop = true
-	}
-	if fi.cfg.DupRate > 0 && frameDraw(key, frameLaneDup) < fi.cfg.DupRate {
-		plan.Dup = true
-		if fi.cfg.ReorderWindow > 0 {
-			plan.DupDelay = int(frameDraw(key, frameLaneDupDelay) * float64(fi.cfg.ReorderWindow+1))
-		}
-	}
-	if !plan.Drop && fi.cfg.ReorderRate > 0 && fi.cfg.ReorderWindow > 0 &&
-		frameDraw(key, frameLaneDelay) < fi.cfg.ReorderRate {
-		plan.Delay = 1 + int(frameDraw(key, frameLaneDelay^frameLaneDup)*float64(fi.cfg.ReorderWindow))
-	}
-	return plan
-}
-
-// frameDraw hashes (key, lane) to a uniform float64 in [0, 1) via
-// splitmix64's finalizer.
-func frameDraw(key, lane uint64) float64 {
-	z := key + lane
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	p := plan(fi.cfg, round, src, dst)
+	return FramePlan{Drop: p.Drop, Delay: p.Delay, Dup: p.Dup > 0, DupDelay: p.DupDelay}
 }

@@ -18,7 +18,8 @@ import (
 // downward phases — against committed golden files, one per mode. The DP
 // tables cross the wire in canonical (key-sorted) entry order, so any change
 // to table construction, interning, or caching that altered a single byte or
-// the order of a single entry would diverge here. Regenerate intentionally
+// the order of a single entry would diverge here. Each case also runs on a
+// 4-worker pool against the same file. Regenerate intentionally
 // with: UPDATE_GOLDEN=1 go test ./internal/protocols -run TestGoldenDPTraces
 func TestGoldenDPTraces(t *testing.T) {
 	g, _ := gen.BoundedTreedepth(18, 2, 0.3, 42)
@@ -50,28 +51,30 @@ func TestGoldenDPTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			tracer := congest.NewNDJSONTracer(&buf)
-			if err := tc.run(congest.Options{IDSeed: 7, Tracer: tracer}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tracer.Err(); err != nil {
-				t.Fatal(err)
-			}
 			golden := filepath.Join("testdata", fmt.Sprintf("golden_dp_%s.ndjson", tc.name))
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			for _, opts := range []congest.Options{{IDSeed: 7}, {IDSeed: 7, Parallel: true, Workers: 4}} {
+				var buf bytes.Buffer
+				tracer := congest.NewNDJSONTracer(&buf)
+				opts.Tracer = tracer
+				if err := tc.run(opts); err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("DP trace diverged from golden file %s (got %d bytes, want %d)",
-					golden, buf.Len(), len(want))
+				if err := tracer.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if os.Getenv("UPDATE_GOLDEN") != "" && !opts.Parallel {
+					if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("parallel=%v: DP trace diverged from golden file %s (got %d bytes, want %d)",
+						opts.Parallel, golden, buf.Len(), len(want))
+				}
 			}
 		})
 	}

@@ -47,8 +47,8 @@ import (
 //
 // Determinism: the adapter adds no randomness. Its entire state is a
 // function of the frame arrival order, which the engine keeps deterministic
-// (an installed injector forces the serial delivery route), so a replayed
-// fault seed replays the reliable run bit-for-bit.
+// (fault plans are keyed by message, not by delivery order), so a replayed
+// fault seed replays the reliable run bit-for-bit at any worker count.
 
 // ErrUnrecoverable is reported (wrapped by *UnrecoverableError) when
 // injected faults exceed what retransmission can mask.

@@ -443,7 +443,7 @@ func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, 
 	if d < 1 {
 		return nil, http.StatusBadRequest, fmt.Errorf("d: must be >= 1, got %d", d)
 	}
-	injected := req.Faults != nil && req.Faults.Enabled && !req.Faults.config().Noop()
+	injected := req.Faults != nil && req.Faults.Enabled && !req.Faults.config().Quiet()
 	if injected && mode == "seq" {
 		return nil, http.StatusBadRequest, errors.New("faults apply to the distributed run, not mode \"seq\"")
 	}

@@ -336,7 +336,7 @@ func TestFaultsSpecJSON(t *testing.T) {
 	cases := []struct {
 		in      string
 		enabled bool
-		noop    bool
+		quiet   bool
 	}{
 		{`false`, false, true},
 		{`true`, true, true},
@@ -354,8 +354,8 @@ func TestFaultsSpecJSON(t *testing.T) {
 		if f.Enabled != tc.enabled {
 			t.Fatalf("%s: Enabled = %v, want %v", tc.in, f.Enabled, tc.enabled)
 		}
-		if got := f.config().Noop(); got != tc.noop {
-			t.Fatalf("%s: Noop = %v, want %v", tc.in, got, tc.noop)
+		if got := f.config().Quiet(); got != tc.quiet {
+			t.Fatalf("%s: Quiet = %v, want %v", tc.in, got, tc.quiet)
 		}
 	}
 	var f FaultsSpec

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/congest"
@@ -90,9 +89,8 @@ type coordinator struct {
 	delayed []delayedEntry
 
 	haltedCount int
-	// halts/events are the current round's merged trace input.
-	halts  []int32
-	events []transport.Event
+	// events is the current round's trace input for congest.ReplayRound.
+	events []congest.TraceEvent
 }
 
 // Run executes spec on g across opt.Shards worker processes and returns
@@ -201,7 +199,7 @@ func (co *coordinator) drive(conns []io.ReadWriteCloser) (*protocols.RunResult, 
 			return nil, 0, err
 		}
 		if tr != nil {
-			co.emitTrace(tr, round)
+			congest.ReplayRound(tr, round, co.ids, co.events)
 			tr.RoundEnd(round, co.n-co.haltedCount, co.haltedCount)
 		}
 		if co.haltedCount == co.n {
@@ -358,7 +356,6 @@ func (co *coordinator) stepRound(round int) error {
 		}
 	}
 
-	co.halts = co.halts[:0]
 	co.events = co.events[:0]
 	for i, s := range co.sess {
 		f, err := s.r.ReadFrame()
@@ -381,10 +378,19 @@ func (co *coordinator) stepRound(round int) error {
 			co.stats.MaxMsgBits = int(rep.MaxMsgBits)
 		}
 		co.stats.Faults.Lost += rep.Lost
-		co.halts = append(co.halts, rep.Halted...)
-		co.events = append(co.events, rep.Events...)
+		co.haltedCount += len(rep.Halted)
+		for _, ev := range rep.Events {
+			co.events = append(co.events, congest.TraceEvent{
+				Sent: int32(round), From: ev.From, Seq: ev.Seq,
+				To: ev.To, Port: ev.Port, Bits: ev.Bits, Kind: ev.Kind,
+			})
+		}
+		if co.opt.Tracer != nil {
+			for _, v := range rep.Halted {
+				co.events = append(co.events, congest.TraceEvent{Sent: int32(round), From: v, Seq: congest.HaltSeq})
+			}
+		}
 	}
-	co.haltedCount += len(co.halts)
 	return nil
 }
 
@@ -483,46 +489,6 @@ func (co *coordinator) merge(round int, batches []transport.Batch) []transport.D
 		delivers[t].Msgs = append(delivers[t].Msgs, dups[t]...)
 	}
 	return delivers
-}
-
-// emitTrace replays the round's receiver-observed events in the engine's
-// serial order: ascending sender vertex, each sender's deliveries in
-// emission order, a sender's halt right after its deliveries. Keys are
-// unique — (From, Seq) per delivery, (vertex, MaxInt32) per halt — so the
-// sort fully determines the order.
-func (co *coordinator) emitTrace(tr congest.Tracer, round int) {
-	type traceEv struct {
-		from, seq int32
-		halt      bool
-		ev        transport.Event
-	}
-	evs := make([]traceEv, 0, len(co.events)+len(co.halts))
-	for _, e := range co.events {
-		evs = append(evs, traceEv{from: e.From, seq: e.Seq, ev: e})
-	}
-	for _, v := range co.halts {
-		evs = append(evs, traceEv{from: v, seq: math.MaxInt32, halt: true})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].from != evs[j].from {
-			return evs[i].from < evs[j].from
-		}
-		return evs[i].seq < evs[j].seq
-	})
-	for _, e := range evs {
-		if e.halt {
-			tr.NodeHalted(round, co.ids[e.from])
-			continue
-		}
-		tr.Send(congest.SendEvent{
-			Round:    round,
-			FromID:   co.ids[e.ev.From],
-			ToID:     co.ids[e.ev.To],
-			Port:     int(e.ev.Port),
-			SizeBits: int(e.ev.Bits),
-			Kind:     e.ev.Kind,
-		})
-	}
 }
 
 // collect finishes the run: FINISH out, OUTPUTS in, result assembly

@@ -216,18 +216,10 @@ func (ws *workerSession) roundLoop() error {
 	}
 }
 
-// step runs one round: compute (Init in round 0), emit the validated batch,
-// ingest the coordinator's merge, compact, report.
+// step runs one round: the sub-engine's sender side, the validated batch
+// out, the coordinator's merge in, the receiver side, the report out.
 func (ws *workerSession) step(round int) error {
-	var sub [][]transport.Msg
-	var errV int
-	var serr error
-	if round == 0 {
-		sub, errV, serr = ws.se.RunInit()
-	} else {
-		ws.se.Compute(round)
-		sub, errV, serr = ws.se.EmitBatch(round)
-	}
+	sub, errV, serr := ws.se.Send(round)
 	batch := transport.Batch{ErrVertex: -1, Sub: sub}
 	if serr != nil {
 		batch = transport.Batch{
@@ -263,17 +255,9 @@ func (ws *workerSession) step(round int) error {
 	if err != nil {
 		return ws.abort(fmt.Errorf("shard: bad DELIVER: %w", err))
 	}
-	ds, err := ws.se.Deliver(round, dl.Delayed, dl.Msgs)
+	report, err := ws.se.Receive(round, dl.Delayed, dl.Msgs)
 	if err != nil {
 		return ws.abort(err)
-	}
-	report := transport.Report{
-		Messages:   ds.Messages,
-		Bits:       ds.Bits,
-		MaxMsgBits: int32(ds.MaxMsgBits),
-		Lost:       ds.Lost,
-		Halted:     ws.se.Compact(round),
-		Events:     ds.Events,
 	}
 	return ws.w.WriteFrame(transport.Frame{
 		Type: transport.TypeReport, Round: uint32(round), Payload: report.Encode(),
