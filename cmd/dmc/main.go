@@ -57,8 +57,8 @@
 // and not with -crash-rate (process crashes are not modeled).
 //
 // Flag interactions are explicit: -workers implies -parallel on its own,
-// and the sequential mode rejects every CONGEST-only flag (-parallel,
-// -workers, -seed, -faults, -trace) instead of silently ignoring it.
+// and core.Request.Validate (shared with dmcd) rejects every CONGEST-only
+// flag (-parallel, -workers, -seed, -faults, -trace) with -seq.
 package main
 
 import (
@@ -73,7 +73,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/protocols"
-	"repro/internal/regular"
 	"repro/internal/shard"
 	"repro/internal/treedepth"
 )
@@ -134,39 +133,41 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Flag interactions, made explicit instead of silently ignored:
-	// -workers on its own turns the worker pool on; the sequential mode has
-	// no CONGEST run for -parallel/-workers/-seed/-faults/-trace to act on.
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
-	}
+	// -workers on its own turns the worker pool on.
 	if *workers > 0 {
 		*parallel = true
 	}
-	if *sequential {
-		switch {
-		case *parallel:
-			return fmt.Errorf("-parallel/-workers apply to the CONGEST run, not -seq")
-		case *seed != 0:
-			return fmt.Errorf("-seed applies to the CONGEST run, not -seq")
-		case *faultsOn:
-			return fmt.Errorf("-faults applies to the CONGEST run, not -seq")
-		case *tracePath != "":
-			return fmt.Errorf("-trace applies to the CONGEST run, not -seq")
-		case *multiproc:
-			return fmt.Errorf("-multiproc applies to the CONGEST run, not -seq")
+	prob, err := core.ProblemFor(*problem, *formula)
+	if err != nil {
+		return flagError(err)
+	}
+	req := core.Request{
+		Problem: prob, Sequential: *sequential, D: *d,
+		Options: congest.Options{IDSeed: *seed, Parallel: *parallel, Workers: *workers},
+	}
+	// The trace stream's destination is attached after validation, so a
+	// rejected invocation creates no trace file.
+	var traceSink struct{ io.Writer }
+	var tracer *congest.NDJSONTracer
+	if *tracePath != "" {
+		tracer = congest.NewNDJSONTracer(&traceSink)
+		req.Options.Tracer = tracer
+	}
+	if *faultsOn {
+		req.Faults = faults.Config{
+			Seed: *faultSeed, DropRate: *dropRate, DupRate: *dupRate, ReorderRate: *reorderRate,
+			ReorderWindow: *reorderWindow, CrashRate: *crashRate, MinOutage: 1, MaxOutage: 4,
 		}
+	}
+	if err := req.Validate(); err != nil {
+		return flagError(err)
 	}
 	if *multiproc {
 		switch {
+		case *sequential:
+			return fmt.Errorf("-multiproc applies to the CONGEST run, not -seq")
 		case *parallel:
 			return fmt.Errorf("-parallel/-workers select the in-process worker pool; -multiproc already executes across processes")
-		case *shards < 1:
-			return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-		case *faultsOn && *tracePath != "":
-			return fmt.Errorf("-trace and -faults cannot be combined with -multiproc (frame faults have no exact trace)")
-		case *faultsOn && *crashRate > 0:
-			return fmt.Errorf("-crash-rate is not modeled at the frame layer; use -multiproc -faults with drop/dup/reorder rates")
 		}
 	}
 
@@ -178,9 +179,8 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	// The human-readable report goes to stdout, unless the trace stream
 	// claims stdout for piping into cmd/trace.
 	report := stdout
-	var tracer *congest.NDJSONTracer
-	if *tracePath != "" {
-		sink := stdout
+	if tracer != nil {
+		traceSink.Writer = stdout
 		if *tracePath == "-" {
 			report = stderr
 		} else {
@@ -189,36 +189,11 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				return err
 			}
 			defer f.Close()
-			sink = f
+			traceSink.Writer = f
 		}
-		tracer = congest.NewNDJSONTracer(sink)
-	}
-
-	var prob core.Problem
-	switch {
-	case *problem != "" && *formula != "":
-		return fmt.Errorf("use either -problem or -formula, not both")
-	case *problem != "":
-		prob, err = core.Lookup(*problem)
-		if err != nil {
-			return err
-		}
-	case *formula != "":
-		pred, err := core.CompileClosedFormula(*formula)
-		if err != nil {
-			return err
-		}
-		prob = core.Problem{
-			Name: "formula", Kind: core.KindDecision,
-			Build:       func() (regular.Predicate, error) { return pred, nil },
-			Description: *formula,
-		}
-	default:
-		return fmt.Errorf("need -problem or -formula (or -list)")
 	}
 
 	fmt.Fprintf(report, "graph: n=%d m=%d diam=%d\n", g.NumVertices(), g.NumEdges(), g.Diameter())
-	var witness *treedepth.Forest
 	if *exactD {
 		td, forest, stats, err := treedepth.SolveExact(g, treedepth.SolveOptions{})
 		if err != nil {
@@ -229,67 +204,33 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(report, "treedepth: td=%d (verified optimal; %d branch nodes, %d cached sets)\n",
 			td, stats.Nodes, stats.CacheEntries)
-		*d = td
-		witness = forest
-	}
-	fmt.Fprintf(report, "problem: %s (d=%d)\n", prob.Name, *d)
-
-	if *sequential {
-		var sol *core.Solution
-		if witness != nil {
+		req.D = td
+		if *sequential {
 			// The exact run already paid for an optimal elimination forest;
 			// evaluate along it instead of the DFS heuristic.
-			sol, err = core.SolveSequentialForest(g, prob, witness)
-		} else {
-			sol, err = core.SolveSequential(g, prob)
+			req.Forest = forest
 		}
-		if err != nil {
-			return err
-		}
-		printSolution(report, prob, sol)
-		return nil
 	}
-	opts := congest.Options{IDSeed: *seed, Parallel: *parallel, Workers: *workers}
-	if tracer != nil {
-		opts.Tracer = tracer
-	}
-	var fcfg faults.Config
-	if *faultsOn {
-		fcfg = faults.Config{
-			Seed:          *faultSeed,
-			DropRate:      *dropRate,
-			DupRate:       *dupRate,
-			ReorderRate:   *reorderRate,
-			ReorderWindow: *reorderWindow,
-			CrashRate:     *crashRate,
-			MinOutage:     1,
-			MaxOutage:     4,
-		}
-		if fcfg.Quiet() {
-			// A schedule that can never fire would still cost the ARQ
-			// adapter's overhead; say so and run the ordinary path instead.
-			fmt.Fprintf(report, "faults: schedule is a no-op (all rates zero); running fault-free\n")
-			*faultsOn = false
-		} else if !*multiproc {
-			opts.Injector = faults.New(fcfg)
-			// The reliable adapter needs frame headroom beyond the default
-			// bandwidth; the wrapped protocol still sees the default budget.
-			opts.BandwidthFactor = protocols.ReliableBandwidthFactor(g.NumVertices())
-			fmt.Fprintf(report, "faults: %v (reliable delivery on)\n", fcfg)
-		}
+	fmt.Fprintf(report, "problem: %s (d=%d)\n", prob.Name, req.D)
+
+	switch {
+	case *faultsOn && !req.Faulted():
+		fmt.Fprintf(report, "faults: schedule is a no-op (all rates zero); running fault-free\n")
+	case req.Faulted() && !*multiproc:
+		fmt.Fprintf(report, "faults: %v (reliable delivery on)\n", req.Faults)
 	}
 	var sol *core.Solution
 	if *multiproc {
-		sol, err = runMultiproc(g, multiprocArgs{
-			problem: *problem, formula: *formula, d: *d, seed: *seed,
-			shards: *shards, bin: *shardBin,
-			faults: *faultsOn, fcfg: fcfg,
-			tracer: tracer, report: report, stderr: stderr,
-		})
-	} else if *faultsOn {
-		sol, err = core.SolveDistributedReliable(g, prob, *d, opts, protocols.ReliableConfig{})
+		spec := shard.Spec{Problem: *problem, Formula: *formula, D: req.D, IDSeed: *seed}
+		opt := shard.Options{
+			Shards: *shards,
+			Spawn:  &shard.ExecSpawner{Bin: *shardBin, Stderr: stderr},
+			Tracer: req.Options.Tracer,
+		}
+		sol, err = runMultiproc(g, spec, opt, req, report)
 	} else {
-		sol, err = core.SolveDistributed(g, prob, *d, opts)
+		req.Graph = g
+		sol, err = core.Solve(req)
 	}
 	if tracer != nil {
 		if ferr := tracer.Flush(); ferr != nil && err == nil {
@@ -303,13 +244,16 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	if sol.TdExceeded {
-		fmt.Fprintf(report, "result: LARGE TREEDEPTH (td(G) > %d); rerun with a larger -d\n", *d)
+		fmt.Fprintf(report, "result: LARGE TREEDEPTH (td(G) > %d); rerun with a larger -d\n", req.D)
 		return nil
 	}
 	printSolution(report, prob, sol)
+	if *sequential {
+		return nil
+	}
 	fmt.Fprintf(report, "congest: rounds=%d messages=%d bits=%d maxMsgBits=%d bandwidth=%d\n",
 		sol.Stats.Rounds, sol.Stats.Messages, sol.Stats.Bits, sol.Stats.MaxMsgBits, sol.Stats.Bandwidth)
-	if *faultsOn {
+	if req.Faulted() {
 		f := sol.Stats.Faults
 		fmt.Fprintf(report, "faults: dropped=%d duplicated=%d delayed=%d lost=%d crashRounds=%d\n",
 			f.Dropped, f.Duplicated, f.Delayed, f.Lost, f.CrashRounds)
@@ -320,50 +264,31 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// multiprocArgs bundles what the multi-process path needs from the flag set.
-type multiprocArgs struct {
-	problem, formula string
-	d                int
-	seed             int64
-	shards           int
-	bin              string
-	faults           bool
-	fcfg             faults.Config
-	tracer           *congest.NDJSONTracer
-	report, stderr   io.Writer
+// flagError respells a rejected request in flag syntax.
+func flagError(err error) error {
+	var fe *core.FieldError
+	if errors.As(err, &fe) {
+		return errors.New(fe.Spell(func(f string) string { return "-" + f }))
+	}
+	return err
 }
 
 // runMultiproc executes the run across real worker processes and reports
-// the on-wire cost next to the logical CONGEST stats.
-func runMultiproc(g *graph.Graph, a multiprocArgs) (*core.Solution, error) {
-	spec := shard.Spec{
-		Problem: a.problem,
-		Formula: a.formula,
-		D:       a.d,
-		IDSeed:  a.seed,
-	}
-	if a.formula != "" {
-		spec.Mode = int(protocols.ModeDecide)
-	}
-	opt := shard.Options{
-		Shards: a.shards,
-		Spawn:  &shard.ExecSpawner{Bin: a.bin, Stderr: a.stderr},
-	}
-	if a.tracer != nil {
-		opt.Tracer = a.tracer
-	}
-	if a.faults {
-		inj := faults.NewFrameInjector(a.fcfg)
+// the on-wire cost next to the logical CONGEST stats. A live fault schedule
+// moves to the frame layer.
+func runMultiproc(g *graph.Graph, spec shard.Spec, opt shard.Options, req core.Request, report io.Writer) (*core.Solution, error) {
+	if req.Faulted() {
+		inj := faults.NewFrameInjector(req.Faults)
 		if inj.Quiet() {
-			fmt.Fprintf(a.report, "faults: schedule is a no-op at the frame layer; running fault-free\n")
+			fmt.Fprintf(report, "faults: schedule is a no-op at the frame layer; running fault-free\n")
 		} else {
 			opt.Faults = inj
 			spec.Reliable = true
 			spec.BandwidthFactor = protocols.ReliableBandwidthFactor(g.NumVertices())
-			fmt.Fprintf(a.report, "faults: %v at the frame layer (reliable delivery on)\n", inj.Config())
+			fmt.Fprintf(report, "faults: %v at the frame layer (reliable delivery on)\n", inj.Config())
 		}
 	}
-	fmt.Fprintf(a.report, "multiproc: shards=%d\n", a.shards)
+	fmt.Fprintf(report, "multiproc: shards=%d\n", opt.Shards)
 	res, err := shard.Run(g, spec, opt)
 	if res != nil {
 		// The wire view is worth printing even when the run failed loudly.
@@ -371,27 +296,13 @@ func runMultiproc(g *graph.Graph, a multiprocArgs) (*core.Solution, error) {
 		if res.Run != nil {
 			logicalBytes = (res.Run.Stats.Bits + 7) / 8
 		}
-		fmt.Fprintf(a.report, "wire: frames=%d bytes=%d logicalBytes=%d overhead=%.2fx\n",
+		fmt.Fprintf(report, "wire: frames=%d bytes=%d logicalBytes=%d overhead=%.2fx\n",
 			res.Wire.FramesSent, res.Wire.BytesSent, logicalBytes, overheadRatio(res.Wire.BytesSent, logicalBytes))
 	}
 	if err != nil {
 		return nil, err
 	}
-	run := res.Run
-	sel := run.Selected
-	if sel == nil {
-		sel = run.SelectedEdges
-	}
-	return &core.Solution{
-		TdExceeded:  run.TdExceeded,
-		Accepted:    run.Accepted,
-		Found:       run.Found,
-		Weight:      run.Weight,
-		Count:       run.Count,
-		Selected:    sel,
-		Stats:       run.Stats,
-		Reliability: run.Reliability,
-	}, nil
+	return core.SolutionOf(res.Run), nil
 }
 
 func overheadRatio(wire, logical int64) float64 {

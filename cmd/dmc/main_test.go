@@ -126,6 +126,38 @@ func TestFlagCombinations(t *testing.T) {
 			name: "faults-live", args: []string{"-problem", "acyclic", "-d", "3", "-faults", "-drop-rate", "0.1", "-fault-seed", "5"}, stdin: text,
 			wantOut: []string{"reliable delivery on", "faults: dropped=", "reliable: vrounds="},
 		},
+		{
+			name: "seq-rejects-multiproc", args: []string{"-problem", "acyclic", "-seq", "-multiproc"}, stdin: text,
+			wantErr: "-multiproc applies to the CONGEST run",
+		},
+		{
+			name: "multiproc-rejects-parallel", args: []string{"-problem", "acyclic", "-multiproc", "-parallel"}, stdin: text,
+			wantErr: "-multiproc already executes across processes",
+		},
+		{
+			name: "multiproc-rejects-workers", args: []string{"-problem", "acyclic", "-multiproc", "-workers", "2"}, stdin: text,
+			wantErr: "-multiproc already executes across processes",
+		},
+		{
+			name: "multiproc-shards-zero", args: []string{"-problem", "acyclic", "-multiproc", "-shards", "0"}, stdin: text,
+			wantErr: "shard count must be >= 1",
+		},
+		{
+			name: "multiproc-rejects-trace-with-faults", args: []string{"-problem", "acyclic", "-multiproc", "-trace", "-", "-faults", "-drop-rate", "0.1"}, stdin: text,
+			wantErr: "tracing and frame faults cannot be combined",
+		},
+		{
+			name: "multiproc-rejects-crash-rate", args: []string{"-problem", "acyclic", "-multiproc", "-faults", "-drop-rate", "0.1", "-crash-rate", "0.1"}, stdin: text,
+			wantErr: "do not model node crashes",
+		},
+		{
+			name: "seq-d-zero", args: []string{"-problem", "acyclic", "-seq", "-d", "0"}, stdin: cycle,
+			wantOut: []string{"result: accepted=false"},
+		},
+		{
+			name: "d-zero", args: []string{"-problem", "acyclic", "-d", "0"}, stdin: text,
+			wantErr: "-d must be >= 1",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -262,4 +294,16 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestRejectedRunCreatesNoTraceFile: flag validation runs before the trace
+// file is created, so a rejected invocation leaves nothing behind.
+func TestRejectedRunCreatesNoTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	if _, _, err := runDMC(t, []string{"-problem", "acyclic", "-seq", "-trace", path}, graphText(t, gen.Path(4))); err == nil {
+		t.Fatal("-seq -trace must be rejected")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("rejected run created the trace file (stat err = %v)", err)
+	}
 }

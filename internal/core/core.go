@@ -1,8 +1,8 @@
 // Package core ties the engines together: a registry of named problems
 // (predicate + mode + direction) spanning the paper's applications, used by
-// the command-line tools and the benchmark harness, plus a uniform Solve
-// entry point that can run any registered problem sequentially (Algorithm 1)
-// or distributed (Theorem 6.1).
+// the command-line tools and the benchmark harness, plus the one solve
+// entry point: a Request, its Validate table, and Solve, which runs any
+// problem sequentially (Algorithm 1) or distributed (Theorem 6.1).
 package core
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/congest"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/mso"
 	"repro/internal/mso/msolib"
@@ -206,6 +207,42 @@ type decideViaExists struct {
 	regular.Predicate
 }
 
+// ProblemFor resolves a problem by registry name or by closed MSO formula
+// text; exactly one of the two must be set. A formula becomes a decision
+// problem named "formula".
+func ProblemFor(name, formula string) (Problem, error) {
+	switch {
+	case name != "" && formula != "":
+		return Problem{}, fieldErr([]string{"problem", "formula"}, "use either %s or %s, not both")
+	case name != "":
+		return Lookup(name)
+	case formula != "":
+		pred, err := CompileClosedFormula(formula)
+		if err != nil {
+			return Problem{}, fmt.Errorf("formula: %w", err)
+		}
+		return Problem{
+			Name: "formula", Kind: KindDecision,
+			Build:       func() (regular.Predicate, error) { return pred, nil },
+			Description: formula,
+		}, nil
+	}
+	return Problem{}, fieldErr([]string{"problem", "formula"}, "need %s or %s")
+}
+
+// Mode is the Theorem 6.1 protocol phase that computes the problem.
+func (p Problem) Mode() (protocols.Mode, error) {
+	switch p.Kind {
+	case KindDecision:
+		return protocols.ModeDecide, nil
+	case KindOptimization:
+		return protocols.ModeOptimize, nil
+	case KindCounting:
+		return protocols.ModeCount, nil
+	}
+	return 0, fmt.Errorf("core: problem %q has unknown kind %d", p.Name, p.Kind)
+}
+
 // Solution is the uniform result of Solve.
 type Solution struct {
 	TdExceeded bool
@@ -216,22 +253,205 @@ type Solution struct {
 	Selected   *bitset.Set // vertex or edge IDs, per predicate kind
 	Stats      congest.Stats
 	// Reliability holds the reliable-delivery adapter's counters when the
-	// run used SolveDistributedReliable (zero otherwise).
+	// run used it (zero otherwise).
 	Reliability protocols.RelStats
+}
+
+// SolutionOf converts a protocol run's result, in-process or assembled by
+// the multi-process coordinator, into a Solution.
+func SolutionOf(run *protocols.RunResult) *Solution {
+	sel := run.Selected
+	if sel == nil {
+		sel = run.SelectedEdges
+	}
+	return &Solution{
+		TdExceeded: run.TdExceeded, Accepted: run.Accepted, Found: run.Found, Weight: run.Weight,
+		Count: run.Count, Selected: sel, Stats: run.Stats, Reliability: run.Reliability,
+	}
+}
+
+// Request is one solve: a problem on a graph, by sequential Algorithm 1 or
+// by the Theorem 6.1 protocol under the CONGEST simulator. Front-ends
+// decode their flags or JSON into a Request; Validate holds every rule on
+// how its fields combine.
+type Request struct {
+	Graph   *graph.Graph
+	Problem Problem
+	// Sequential runs Algorithm 1 centrally instead of the protocol.
+	Sequential bool
+	// D is the protocol's treedepth parameter (>= 1). A sequential run does
+	// not use it and accepts 0.
+	D int
+	// Forest is the elimination forest a sequential run evaluates along
+	// (nil = the DFS forest); the protocol computes its own.
+	Forest *treedepth.Forest
+	// Options configures the CONGEST simulation (distributed runs only).
+	Options congest.Options
+	// Faults is the fault schedule. A live (non-Quiet) one installs its
+	// injector, the reliable-delivery adapter, and the adapter's bandwidth
+	// (protocols.ReliableBandwidthFactor); a Quiet one runs fault-free.
+	Faults faults.Config
+	// Reliable, when non-nil, wraps every node in the reliable-delivery
+	// adapter with this configuration (a live Faults schedule implies the
+	// zero configuration). A caller that sets Options.Injector itself also
+	// sets Options.BandwidthFactor for the adapter's frames.
+	Reliable *protocols.ReliableConfig
+	// Cache is a shared DP cache wrapping the predicate Problem builds; it
+	// saves work and never changes a result.
+	Cache *regular.Shared
+}
+
+// Faulted reports whether the request's fault schedule is live.
+func (r Request) Faulted() bool { return !r.Faults.Quiet() }
+
+// Validate checks how the request's fields combine. A rejection is a
+// *FieldError naming the offending fields; the graph is not consulted, so
+// front-ends validate before reading it.
+func (r Request) Validate() error {
+	const congestOnly = "%s applies to the CONGEST run, not the sequential one"
+	o := r.Options
+	switch {
+	case r.Problem.Build == nil:
+		return fieldErr([]string{"problem", "formula"}, "need %s or %s")
+	case o.Workers < 0:
+		return fieldErr([]string{"workers"}, "%s must be >= 0, got %d", o.Workers)
+	case r.D < 0 || (r.D == 0 && !r.Sequential):
+		return fieldErr([]string{"d"}, "%s must be >= 1, got %d", r.D)
+	case r.Sequential && (o.Parallel || o.Workers != 0):
+		return fieldErr([]string{"parallel", "workers"}, "%s/%s apply to the CONGEST run, not the sequential one")
+	case r.Sequential && o.IDSeed != 0:
+		return fieldErr([]string{"seed"}, congestOnly)
+	case r.Sequential && (r.Faults != faults.Config{} || o.Injector != nil || r.Reliable != nil):
+		return fieldErr([]string{"faults"}, congestOnly)
+	case r.Sequential && o.Tracer != nil:
+		return fieldErr([]string{"trace"}, congestOnly)
+	case !r.Sequential && r.Forest != nil:
+		return fieldErr([]string{"forest"}, "%s applies to the sequential run; the protocol computes its own")
+	case r.Faulted() && o.Injector != nil:
+		return fieldErr([]string{"faults"}, "%s: a live schedule and Options.Injector cannot both inject faults")
+	}
+	if _, err := r.Problem.Mode(); err != nil {
+		return err
+	}
+	if r.Cache != nil {
+		pred, err := r.Problem.Build()
+		if err != nil {
+			return err
+		}
+		if got, want := r.Cache.Predicate().Name(), pred.Name(); got != want {
+			return fieldErr([]string{"cache"}, "%s wraps predicate %q, the problem builds %q", got, want)
+		}
+	}
+	return nil
+}
+
+// FieldError is a Request that Validate rejects. Fields names the offending
+// settings in core's spelling ("seed", "workers", ...); Spell renders the
+// message with a front-end's own spelling of them.
+type FieldError struct {
+	Fields []string
+	format string // one %s per field, then verbs for args
+	args   []any
+}
+
+func fieldErr(fields []string, format string, args ...any) *FieldError {
+	return &FieldError{Fields: fields, format: format, args: args}
+}
+
+// Spell renders the error with each field name passed through name, e.g.
+// "-seed" for a command-line flag or `"seed"` for a JSON key.
+func (e *FieldError) Spell(name func(field string) string) string {
+	args := make([]any, 0, len(e.Fields)+len(e.args))
+	for _, f := range e.Fields {
+		args = append(args, name(f))
+	}
+	return fmt.Sprintf(e.format, append(args, e.args...)...)
+}
+
+func (e *FieldError) Error() string { return e.Spell(func(f string) string { return f }) }
+
+// Solve validates the request and runs it. It is the only code that turns
+// a problem into a run.
+func Solve(r Request) (*Solution, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	if r.Graph == nil {
+		return nil, errors.New("core: request has no graph")
+	}
+	mode, _ := r.Problem.Mode() // checked by Validate
+	if r.Sequential {
+		return solveSequential(r, mode)
+	}
+	pred, err := r.Problem.Build()
+	if err != nil {
+		return nil, err
+	}
+	opts, rel := r.Options, r.Reliable
+	if r.Faulted() {
+		opts.Injector = faults.New(r.Faults)
+		// The adapter's frames need headroom beyond the default bandwidth;
+		// the wrapped protocol still sees the default budget.
+		opts.BandwidthFactor = protocols.ReliableBandwidthFactor(r.Graph.NumVertices())
+		if rel == nil {
+			rel = &protocols.ReliableConfig{}
+		}
+	}
+	cfg := protocols.Config{Pred: pred, Mode: mode, D: r.D, Maximize: r.Problem.Maximize, Cache: r.Cache}
+	if rel != nil {
+		cfg.Reliable, cfg.Rel = true, *rel
+	}
+	run, err := protocols.Run(r.Graph, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return SolutionOf(run), nil
+}
+
+// solveSequential runs Algorithm 1 through the problem's phase.
+func solveSequential(r Request, mode protocols.Mode) (*Solution, error) {
+	forest := r.Forest
+	if forest == nil {
+		forest = treedepth.DFSForest(r.Graph)
+	}
+	var cache *regular.Cached
+	if r.Cache != nil {
+		cache = r.Cache.Handle()
+	} else {
+		pred, err := r.Problem.Build()
+		if err != nil {
+			return nil, err
+		}
+		cache = regular.NewCached(pred)
+	}
+	run, err := seq.NewWithCache(r.Graph, forest, cache)
+	if err != nil {
+		return nil, err
+	}
+	out := &Solution{}
+	switch mode {
+	case protocols.ModeDecide:
+		out.Accepted, err = run.Decide()
+	case protocols.ModeOptimize:
+		var res seq.OptResult
+		res, err = run.Optimize(r.Problem.Maximize)
+		out.Found, out.Weight, out.Selected = res.Found, res.Weight, res.Vertices
+		if out.Selected == nil {
+			out.Selected = res.Edges
+		}
+	case protocols.ModeCount:
+		out.Count, err = run.Count()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SolveDistributed runs the problem's distributed protocol with treedepth
 // parameter d.
 func SolveDistributed(g *graph.Graph, prob Problem, d int, opts congest.Options) (*Solution, error) {
-	return solveDistributed(g, prob, d, opts, false, protocols.ReliableConfig{}, nil)
-}
-
-// SolveDistributedCached is SolveDistributed with every node evaluating its
-// DP through a handle of the given process-lifetime shared cache (which must
-// wrap the same predicate the problem builds). Results are bit-identical to
-// SolveDistributed; only work is saved.
-func SolveDistributedCached(g *graph.Graph, prob Problem, d int, opts congest.Options, cache *regular.Shared) (*Solution, error) {
-	return solveDistributed(g, prob, d, opts, false, protocols.ReliableConfig{}, cache)
+	return Solve(Request{Graph: g, Problem: prob, D: d, Options: opts})
 }
 
 // SolveDistributedReliable is SolveDistributed with every node wrapped in
@@ -241,100 +461,19 @@ func SolveDistributedCached(g *graph.Graph, prob Problem, d int, opts congest.Op
 // (protocols.ReliableBandwidthFactor is the standard choice). When injected
 // faults exceed the retry budget the error wraps protocols.ErrUnrecoverable.
 func SolveDistributedReliable(g *graph.Graph, prob Problem, d int, opts congest.Options, rel protocols.ReliableConfig) (*Solution, error) {
-	return solveDistributed(g, prob, d, opts, true, rel, nil)
-}
-
-func solveDistributed(g *graph.Graph, prob Problem, d int, opts congest.Options, reliable bool, rel protocols.ReliableConfig, cache *regular.Shared) (*Solution, error) {
-	pred, err := prob.Build()
-	if err != nil {
-		return nil, err
-	}
-	cfg := protocols.Config{Pred: pred, D: d, Reliable: reliable, Rel: rel, Cache: cache}
-	switch prob.Kind {
-	case KindDecision:
-		cfg.Mode = protocols.ModeDecide
-	case KindOptimization:
-		cfg.Mode = protocols.ModeOptimize
-		cfg.Maximize = prob.Maximize
-	case KindCounting:
-		cfg.Mode = protocols.ModeCount
-	default:
-		return nil, fmt.Errorf("core: unknown kind %d", prob.Kind)
-	}
-	run, err := protocols.Run(g, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	sel := run.Selected
-	if sel == nil {
-		sel = run.SelectedEdges
-	}
-	return &Solution{
-		TdExceeded:  run.TdExceeded,
-		Accepted:    run.Accepted,
-		Found:       run.Found,
-		Weight:      run.Weight,
-		Count:       run.Count,
-		Selected:    sel,
-		Stats:       run.Stats,
-		Reliability: run.Reliability,
-	}, nil
+	return Solve(Request{Graph: g, Problem: prob, D: d, Options: opts, Reliable: &rel})
 }
 
 // SolveSequential runs the problem centrally with Algorithm 1 over a DFS
 // elimination tree (the baseline of the benchmark harness).
 func SolveSequential(g *graph.Graph, prob Problem) (*Solution, error) {
-	return SolveSequentialForest(g, prob, treedepth.DFSForest(g))
+	return Solve(Request{Graph: g, Problem: prob, Sequential: true})
 }
 
 // SolveSequentialForest is SolveSequential over a caller-supplied elimination
 // forest — e.g. an exact-treedepth witness instead of the DFS heuristic.
 func SolveSequentialForest(g *graph.Graph, prob Problem, forest *treedepth.Forest) (*Solution, error) {
-	pred, err := prob.Build()
-	if err != nil {
-		return nil, err
-	}
-	run, err := seq.New(g, forest, pred)
-	if err != nil {
-		return nil, err
-	}
-	return finishSequential(run, prob)
-}
-
-// SolveSequentialCached is SolveSequential evaluating through a handle of the
-// given process-lifetime shared cache (which must wrap the same predicate the
-// problem builds). Results are bit-identical to SolveSequential.
-func SolveSequentialCached(g *graph.Graph, prob Problem, cache *regular.Shared) (*Solution, error) {
-	run, err := seq.NewWithCache(g, treedepth.DFSForest(g), cache.Handle())
-	if err != nil {
-		return nil, err
-	}
-	return finishSequential(run, prob)
-}
-
-// finishSequential drives a constructed runner through the problem's phase.
-func finishSequential(run *seq.Runner, prob Problem) (*Solution, error) {
-	out := &Solution{}
-	var err error
-	switch prob.Kind {
-	case KindDecision:
-		out.Accepted, err = run.Decide()
-	case KindOptimization:
-		var res seq.OptResult
-		res, err = run.Optimize(prob.Maximize)
-		out.Found, out.Weight = res.Found, res.Weight
-		if res.Vertices != nil {
-			out.Selected = res.Vertices
-		} else {
-			out.Selected = res.Edges
-		}
-	case KindCounting:
-		out.Count, err = run.Count()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return Solve(Request{Graph: g, Problem: prob, Sequential: true, Forest: forest})
 }
 
 // CompileClosedFormula compiles a closed MSO formula text into a predicate

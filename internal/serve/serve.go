@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,27 +131,14 @@ func (f *FaultsSpec) UnmarshalJSON(b []byte) error {
 		*f = FaultsSpec{Enabled: on}
 		return nil
 	}
-	var a struct {
-		Enabled       *bool   `json:"enabled"`
-		Seed          int64   `json:"seed"`
-		DropRate      float64 `json:"drop_rate"`
-		DupRate       float64 `json:"dup_rate"`
-		ReorderRate   float64 `json:"reorder_rate"`
-		ReorderWindow int     `json:"reorder_window"`
-		CrashRate     float64 `json:"crash_rate"`
-	}
+	type schedule FaultsSpec // without this method
+	a := schedule{Enabled: true}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&a); err != nil {
 		return fmt.Errorf("faults: %w", err)
 	}
-	*f = FaultsSpec{
-		Enabled: true, Seed: a.Seed, DropRate: a.DropRate, DupRate: a.DupRate,
-		ReorderRate: a.ReorderRate, ReorderWindow: a.ReorderWindow, CrashRate: a.CrashRate,
-	}
-	if a.Enabled != nil {
-		f.Enabled = *a.Enabled
-	}
+	*f = FaultsSpec(a)
 	return nil
 }
 
@@ -215,7 +203,7 @@ type Server struct {
 	scratch *congest.ScratchPool
 
 	mu     sync.Mutex
-	caches map[string]*cacheEntry
+	caches map[source]*cacheEntry
 	tick   int64
 
 	nRequests  atomic.Int64
@@ -235,7 +223,7 @@ func New(opts Options) *Server {
 		sem:     make(chan struct{}, o.MaxConcurrent),
 		drainCh: make(chan struct{}),
 		scratch: congest.NewScratchPool(),
-		caches:  make(map[string]*cacheEntry),
+		caches:  make(map[source]*cacheEntry),
 	}
 }
 
@@ -290,20 +278,23 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// cacheFor returns (creating on demand) the shared cache for the request's
-// predicate, keyed by problem name or formula text.
-func (s *Server) cacheFor(req *CheckRequest) (*cacheEntry, error) {
-	var key string
-	switch {
-	case req.Problem != "" && req.Formula != "":
-		return nil, errors.New("use either \"problem\" or \"formula\", not both")
-	case req.Problem != "":
-		key = "p:" + req.Problem
-	case req.Formula != "":
-		key = "f:" + req.Formula
-	default:
-		return nil, errors.New("need \"problem\" or \"formula\"")
+// source is a request's predicate selector, the key of its shared cache.
+// Only a pair that resolves to a problem ever enters the cache map, so a
+// lookup never bypasses core.ProblemFor's rules.
+type source struct{ problem, formula string }
+
+// String renders the key as /v1/stats reports it.
+func (k source) String() string {
+	if k.formula != "" {
+		return "f:" + k.formula
 	}
+	return "p:" + k.problem
+}
+
+// cacheFor returns (creating on demand) the shared cache for the request's
+// predicate.
+func (s *Server) cacheFor(req *CheckRequest) (*cacheEntry, error) {
+	key := source{req.Problem, req.Formula}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
@@ -311,30 +302,15 @@ func (s *Server) cacheFor(req *CheckRequest) (*cacheEntry, error) {
 		e.lastUse = s.tick
 		return e, nil
 	}
-	e := &cacheEntry{lastUse: s.tick}
-	if req.Problem != "" {
-		prob, err := core.Lookup(req.Problem)
-		if err != nil {
-			return nil, err
-		}
-		e.prob = prob
-	} else {
-		pred, err := core.CompileClosedFormula(req.Formula)
-		if err != nil {
-			return nil, fmt.Errorf("formula: %w", err)
-		}
-		e.prob = core.Problem{
-			Name: "formula", Kind: core.KindDecision,
-			Build:       func() (regular.Predicate, error) { return pred, nil },
-			Description: req.Formula,
-		}
-		e.formula = true
-	}
-	pred, err := e.prob.Build()
+	prob, err := core.ProblemFor(req.Problem, req.Formula)
 	if err != nil {
 		return nil, err
 	}
-	e.shared = regular.NewShared(pred)
+	pred, err := prob.Build()
+	if err != nil {
+		return nil, err
+	}
+	e := &cacheEntry{prob: prob, shared: regular.NewShared(pred), formula: req.Formula != "", lastUse: s.tick}
 	e.shared.SetComposeCap(s.opts.ComposeCap)
 	s.caches[key] = e
 	s.evictFormulasLocked()
@@ -346,13 +322,13 @@ func (s *Server) cacheFor(req *CheckRequest) (*cacheEntry, error) {
 //dmclint:requires-lock mu
 func (s *Server) evictFormulasLocked() {
 	for {
-		count, oldestKey, oldest := 0, "", int64(0)
+		count, oldestKey, oldest := 0, source{}, int64(0)
 		for k, e := range s.caches {
 			if !e.formula {
 				continue
 			}
 			count++
-			if oldestKey == "" || e.lastUse < oldest {
+			if count == 1 || e.lastUse < oldest {
 				oldestKey, oldest = k, e.lastUse
 			}
 		}
@@ -415,11 +391,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solve validates and runs one check request.
+// solve decodes one check request into a core.Request and runs it.
 func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, int, error) {
 	entry, err := s.cacheFor(req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, jsonError(err)
 	}
 	if strings.TrimSpace(req.Graph) == "" {
 		return nil, http.StatusBadRequest, errors.New("need \"graph\" (edge-list text)")
@@ -440,68 +416,52 @@ func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, 
 	if d == 0 {
 		d = 3
 	}
-	if d < 1 {
-		return nil, http.StatusBadRequest, fmt.Errorf("d: must be >= 1, got %d", d)
+	// A distributed run defaults to the worker pool at the server's size;
+	// a sequential run has no pool.
+	parallel := mode == "dist"
+	if req.Parallel != nil {
+		parallel = *req.Parallel
 	}
-	injected := req.Faults != nil && req.Faults.Enabled && !req.Faults.config().Quiet()
-	if injected && mode == "seq" {
-		return nil, http.StatusBadRequest, errors.New("faults apply to the distributed run, not mode \"seq\"")
+	workers := req.Workers
+	if workers == 0 && parallel {
+		workers = s.opts.Workers
 	}
-
-	prob := entry.prob
-	resp := &CheckResponse{Problem: prob.Name, Mode: mode, D: d, FaultsInjected: injected}
-	startSolve := time.Now()
-	var sol *core.Solution
-	if mode == "seq" {
-		if err := ctx.Err(); err != nil {
-			return nil, http.StatusGatewayTimeout, fmt.Errorf("canceled before solve: %w", err)
-		}
-		sol, err = core.SolveSequentialCached(g, prob, entry.shared)
-	} else {
-		workers := req.Workers
-		if workers == 0 {
-			workers = s.opts.Workers
-		}
-		parallel := req.Parallel == nil || *req.Parallel
-		opts := congest.Options{
+	creq := core.Request{
+		Graph: g, Problem: entry.prob, Sequential: mode == "seq", D: d, Cache: entry.shared,
+		Options: congest.Options{
 			IDSeed:   req.Seed,
 			Parallel: parallel,
 			Workers:  workers,
 			Context:  ctx,
 			Scratch:  s.scratch,
-		}
-		if injected {
-			// A live schedule needs the reliable-delivery adapter and its
-			// frame headroom; the injector forces deterministic serial
-			// delivery inside the engine.
-			opts.Injector = faults.New(req.Faults.config())
-			opts.BandwidthFactor = protocols.ReliableBandwidthFactor(g.NumVertices())
-			sol, err = core.SolveDistributedReliable(g, prob, d, opts, protocols.ReliableConfig{})
-		} else {
-			// No effective injection (including vacuous schedules): the
-			// sharded parallel path, with the shared cross-request cache.
-			sol, err = core.SolveDistributedCached(g, prob, d, opts, entry.shared)
-		}
+		},
 	}
+	if req.Faults != nil && req.Faults.Enabled {
+		creq.Faults = req.Faults.config()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, http.StatusGatewayTimeout, fmt.Errorf("canceled before solve: %w", err)
+	}
+
+	startSolve := time.Now()
+	sol, err := core.Solve(creq)
 	if err != nil {
 		switch {
 		case errors.Is(err, congest.ErrCanceled) || errors.Is(err, context.DeadlineExceeded):
 			return nil, http.StatusGatewayTimeout, fmt.Errorf("solve timed out after %v", s.opts.RequestTimeout)
 		case errors.Is(err, protocols.ErrUnrecoverable):
 			return nil, http.StatusUnprocessableEntity, fmt.Errorf("faults exceeded the retry budget: %v", err)
-		case errors.Is(err, protocols.ErrProtocol) || errors.Is(err, core.ErrUnknownProblem):
-			return nil, http.StatusBadRequest, err
+		case errors.As(err, new(*core.FieldError)) || errors.Is(err, protocols.ErrProtocol):
+			return nil, http.StatusBadRequest, jsonError(err)
 		default:
 			return nil, http.StatusInternalServerError, err
 		}
 	}
-	resp.ElapsedMS = float64(time.Since(startSolve).Microseconds()) / 1000
-
-	resp.TdExceeded = sol.TdExceeded
-	resp.Accepted = sol.Accepted
-	resp.Found = sol.Found
-	resp.Weight = sol.Weight
-	resp.Count = sol.Count
+	resp := &CheckResponse{
+		Problem: entry.prob.Name, Mode: mode, D: d, FaultsInjected: creq.Faulted(),
+		ElapsedMS:  float64(time.Since(startSolve).Microseconds()) / 1000,
+		TdExceeded: sol.TdExceeded, Accepted: sol.Accepted, Found: sol.Found, Weight: sol.Weight, Count: sol.Count,
+	}
 	if sol.Selected != nil {
 		ids := []int{}
 		sol.Selected.ForEach(func(v int) { ids = append(ids, v) })
@@ -514,6 +474,15 @@ func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, 
 		resp.MaxMsgBits = sol.Stats.MaxMsgBits
 	}
 	return resp, http.StatusOK, nil
+}
+
+// jsonError respells a rejected request with JSON key names.
+func jsonError(err error) error {
+	var fe *core.FieldError
+	if errors.As(err, &fe) {
+		return errors.New(fe.Spell(strconv.Quote))
+	}
+	return err
 }
 
 // CacheInfo is one predicate's shared-cache stats in StatsResponse.
@@ -564,8 +533,8 @@ func (s *Server) Stats() StatsResponse {
 	keys := make([]string, 0, len(s.caches))
 	entries := make(map[string]*cacheEntry, len(s.caches))
 	for k, e := range s.caches {
-		keys = append(keys, k)
-		entries[k] = e
+		keys = append(keys, k.String())
+		entries[k.String()] = e
 	}
 	s.mu.Unlock()
 	sort.Strings(keys)

@@ -226,6 +226,12 @@ func TestRequestValidation(t *testing.T) {
 		{"bad-mode", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"turbo"}`, text), http.StatusBadRequest},
 		{"bad-d", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","d":-2}`, text), http.StatusBadRequest},
 		{"faults-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","faults":{"drop_rate":0.2}}`, text), http.StatusBadRequest},
+		{"vacuous-faults-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","faults":true}`, text), http.StatusBadRequest},
+		{"seed-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","seed":7}`, text), http.StatusBadRequest},
+		{"workers-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","workers":2}`, text), http.StatusBadRequest},
+		{"parallel-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","parallel":true}`, text), http.StatusBadRequest},
+		{"negative-workers", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","workers":-1}`, text), http.StatusBadRequest},
+		{"negative-workers-with-seq", fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","workers":-1}`, text), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,6 +248,26 @@ func TestRequestValidation(t *testing.T) {
 				t.Fatalf("error body missing: err=%v body=%+v", err, e)
 			}
 		})
+	}
+
+	// A sequential request keeps accepting "d" (unused there) and an
+	// explicit "parallel": false; a rejection names the JSON key.
+	for _, body := range []string{
+		fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","d":3}`, text),
+		fmt.Sprintf(`{"graph":%q,"problem":"acyclic","mode":"seq","parallel":false}`, text),
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/check", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", body, resp.StatusCode)
+		}
+	}
+	if _, code, raw := postCheck(t, ts, CheckRequest{Graph: text, Problem: "acyclic", Mode: "seq", Seed: 7}); code != http.StatusBadRequest ||
+		!strings.Contains(raw, `\"seed\" applies to the CONGEST run`) {
+		t.Fatalf("seed with seq: %d %s", code, raw)
 	}
 
 	// Method checks.

@@ -53,9 +53,10 @@ type Spec struct {
 	// Formula is a closed MSO formula compiled by core.CompileClosedFormula
 	// (mutually exclusive with Problem).
 	Formula string `json:"formula,omitempty"`
-	// Mode overrides the protocol mode when nonzero (values are
-	// protocols.Mode). Required with Formula; optional with Problem (e.g.
-	// ModeCheckMarked reuses a registered predicate on marked inputs).
+	// Mode overrides the problem's own protocol mode when nonzero (values
+	// are protocols.Mode): a formula is a decision problem unless Mode
+	// says otherwise, and e.g. ModeCheckMarked reuses a registered
+	// predicate on marked inputs.
 	Mode int `json:"mode,omitempty"`
 	// D is the treedepth parameter.
 	D int `json:"d,omitempty"`
@@ -133,45 +134,21 @@ func (s Spec) Resolve() (protocols.Config, error) {
 		}
 		return protocols.Config{}, nil
 	}
-	if (s.Problem == "") == (s.Formula == "") {
-		return protocols.Config{}, fmt.Errorf("shard: spec must name exactly one of problem or formula")
+	prob, err := core.ProblemFor(s.Problem, s.Formula)
+	if err != nil {
+		return protocols.Config{}, fmt.Errorf("shard: %w", err)
 	}
-	cfg := protocols.Config{
-		D:        s.D,
-		Reliable: s.Reliable,
-		Rel:      s.Rel,
+	pred, err := prob.Build()
+	if err != nil {
+		return protocols.Config{}, err
 	}
-	if s.Problem != "" {
-		prob, err := core.Lookup(s.Problem)
-		if err != nil {
-			return protocols.Config{}, err
-		}
-		pred, err := prob.Build()
-		if err != nil {
-			return protocols.Config{}, err
-		}
-		cfg.Pred = pred
-		cfg.Maximize = prob.Maximize
-		switch prob.Kind {
-		case core.KindDecision:
-			cfg.Mode = protocols.ModeDecide
-		case core.KindOptimization:
-			cfg.Mode = protocols.ModeOptimize
-		case core.KindCounting:
-			cfg.Mode = protocols.ModeCount
-		default:
-			return protocols.Config{}, fmt.Errorf("shard: problem %q has unsupported kind %d", s.Problem, prob.Kind)
-		}
-	} else {
-		pred, err := core.CompileClosedFormula(s.Formula)
-		if err != nil {
-			return protocols.Config{}, err
-		}
-		cfg.Pred = pred
+	mode, err := prob.Mode()
+	if err != nil {
+		return protocols.Config{}, err
+	}
+	cfg := protocols.Config{Pred: pred, Mode: mode, D: s.D, Maximize: prob.Maximize, Reliable: s.Reliable, Rel: s.Rel}
+	if s.Formula != "" {
 		cfg.Maximize = s.Maximize
-		if s.Mode == 0 {
-			return protocols.Config{}, fmt.Errorf("shard: formula spec must set a mode")
-		}
 	}
 	if s.Mode != 0 {
 		cfg.Mode = protocols.Mode(s.Mode)
