@@ -14,7 +14,6 @@
 //	bench -only S2 -dp-out BENCH_dp.json
 //	bench -only S3 -faults-out BENCH_faults.json
 //	bench -only S6 -td-out BENCH_td.json
-//	bench -only S7 -multiproc-out BENCH_multiproc.json
 //
 // Each sweep runs once; the table and the JSON document come from the same
 // measurements, and the command exits nonzero if any parallel run diverges
@@ -22,8 +21,7 @@
 // reference (S2), any fault-injected run reports a wrong verdict or an
 // unrecoverable failure at a drop rate the retry budget must mask (S3), or
 // any treedepth run returns an invalid witness or disagrees with the naive
-// oracle (S6), or any sharded run's stats or state checksum diverge from the
-// in-process engine (S7).
+// oracle (S6).
 package main
 
 import (
@@ -56,7 +54,6 @@ func run() error {
 	faultsOut := flag.String("faults-out", "", "write the S3 fault-injection report as JSON to this path")
 	serveOut := flag.String("serve-out", "", "write the S4 dmcd load-test report as JSON to this path")
 	tdOut := flag.String("td-out", "", "write the S6 exact-treedepth report as JSON to this path")
-	multiprocOut := flag.String("multiproc-out", "", "write the S7 multi-process transport report as JSON to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected sweeps to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after all sweeps) to this path")
 	flag.Parse()
@@ -181,21 +178,6 @@ func run() error {
 		}
 		tdRep = rep
 	}
-	var multiprocRep *experiments.MultiprocReport
-	if *multiprocOut != "" {
-		rep, err := experiments.MultiprocSweep(*quick)
-		if rep != nil {
-			// Write the report even on divergence so the artifact shows which
-			// runs failed; the error still fails the command.
-			if werr := writeJSON(*multiprocOut, rep); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if err != nil {
-			return err
-		}
-		multiprocRep = rep
-	}
 
 	var selected []experiments.Experiment
 	if *only == "" {
@@ -225,8 +207,6 @@ func run() error {
 			tab = experiments.ServeTable(serveRep)
 		case e.ID == "S6" && tdRep != nil:
 			tab = experiments.TDTable(tdRep)
-		case e.ID == "S7" && multiprocRep != nil:
-			tab = experiments.MultiprocTable(multiprocRep)
 		default:
 			tab, err = e.Run(*quick)
 		}

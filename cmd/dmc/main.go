@@ -40,22 +40,6 @@
 // dmc says so and runs the ordinary fault-free path (parallel delivery and
 // all) instead of paying for the injector and the reliable adapter.
 //
-// With -multiproc, dmc runs the CONGEST simulation across -shards real
-// worker processes (re-executions of dmc itself, or the binary named by
-// -shard-bin, e.g. dmcshard) connected over a Unix socket, coordinated by
-// the frame protocol in internal/congest/transport. Results are
-// bit-identical to the in-process engine; the report gains a wire line
-// showing what the transport actually carried versus the logical CONGEST
-// bits:
-//
-//	gengraph -family bounded-td -n 100000 -d 3 | dmc -problem acyclic -d 3 -multiproc -shards 4
-//
-// -multiproc composes with -faults (the chaos moves to the frame layer:
-// whole shard-to-shard batches drop, duplicate, or reorder, and the
-// reliable adapter must recover) and with -trace (the coordinator
-// reconstructs the exact engine event stream), but not with both at once,
-// and not with -crash-rate (process crashes are not modeled).
-//
 // Flag interactions are explicit: -workers implies -parallel on its own,
 // and core.Request.Validate (shared with dmcd) rejects every CONGEST-only
 // flag (-parallel, -workers, -seed, -faults, -trace) with -seq.
@@ -73,20 +57,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/protocols"
-	"repro/internal/shard"
 	"repro/internal/treedepth"
 )
 
 func main() {
-	// A dmc process spawned with the shard-worker environment set is a
-	// worker, not a CLI: serve the session and exit.
-	if ran, err := shard.MaybeWorker(); ran {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmc (shard worker):", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := runArgs(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmc:", err)
 		os.Exit(1)
@@ -116,9 +90,6 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	reorderRate := fs.Float64("reorder-rate", 0, "per-message reorder probability with -faults")
 	reorderWindow := fs.Int("reorder-window", 4, "maximum extra delivery delay in rounds with -faults")
 	crashRate := fs.Float64("crash-rate", 0, "per-node per-round crash probability with -faults (outages of 1-4 rounds)")
-	multiproc := fs.Bool("multiproc", false, "run the simulation across real worker processes over the frame protocol")
-	shards := fs.Int("shards", 2, "worker-process count with -multiproc")
-	shardBin := fs.String("shard-bin", "", "worker binary with -multiproc (default: re-execute dmc itself)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -162,14 +133,6 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err := req.Validate(); err != nil {
 		return flagError(err)
 	}
-	if *multiproc {
-		switch {
-		case *sequential:
-			return fmt.Errorf("-multiproc applies to the CONGEST run, not -seq")
-		case *parallel:
-			return fmt.Errorf("-parallel/-workers select the in-process worker pool; -multiproc already executes across processes")
-		}
-	}
 
 	g, err := loadGraph(*graphPath, stdin)
 	if err != nil {
@@ -193,7 +156,7 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(report, "graph: n=%d m=%d diam=%d\n", g.NumVertices(), g.NumEdges(), g.Diameter())
+	fmt.Fprintf(report, "graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
 	if *exactD {
 		td, forest, stats, err := treedepth.SolveExact(g, treedepth.SolveOptions{})
 		if err != nil {
@@ -216,22 +179,11 @@ func runArgs(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	switch {
 	case *faultsOn && !req.Faulted():
 		fmt.Fprintf(report, "faults: schedule is a no-op (all rates zero); running fault-free\n")
-	case req.Faulted() && !*multiproc:
+	case req.Faulted():
 		fmt.Fprintf(report, "faults: %v (reliable delivery on)\n", req.Faults)
 	}
-	var sol *core.Solution
-	if *multiproc {
-		spec := shard.Spec{Problem: *problem, Formula: *formula, D: req.D, IDSeed: *seed}
-		opt := shard.Options{
-			Shards: *shards,
-			Spawn:  &shard.ExecSpawner{Bin: *shardBin, Stderr: stderr},
-			Tracer: req.Options.Tracer,
-		}
-		sol, err = runMultiproc(g, spec, opt, req, report)
-	} else {
-		req.Graph = g
-		sol, err = core.Solve(req)
-	}
+	req.Graph = g
+	sol, err := core.Solve(req)
 	if tracer != nil {
 		if ferr := tracer.Flush(); ferr != nil && err == nil {
 			err = ferr
@@ -271,45 +223,6 @@ func flagError(err error) error {
 		return errors.New(fe.Spell(func(f string) string { return "-" + f }))
 	}
 	return err
-}
-
-// runMultiproc executes the run across real worker processes and reports
-// the on-wire cost next to the logical CONGEST stats. A live fault schedule
-// moves to the frame layer.
-func runMultiproc(g *graph.Graph, spec shard.Spec, opt shard.Options, req core.Request, report io.Writer) (*core.Solution, error) {
-	if req.Faulted() {
-		inj := faults.NewFrameInjector(req.Faults)
-		if inj.Quiet() {
-			fmt.Fprintf(report, "faults: schedule is a no-op at the frame layer; running fault-free\n")
-		} else {
-			opt.Faults = inj
-			spec.Reliable = true
-			spec.BandwidthFactor = protocols.ReliableBandwidthFactor(g.NumVertices())
-			fmt.Fprintf(report, "faults: %v at the frame layer (reliable delivery on)\n", inj.Config())
-		}
-	}
-	fmt.Fprintf(report, "multiproc: shards=%d\n", opt.Shards)
-	res, err := shard.Run(g, spec, opt)
-	if res != nil {
-		// The wire view is worth printing even when the run failed loudly.
-		logicalBytes := int64(0)
-		if res.Run != nil {
-			logicalBytes = (res.Run.Stats.Bits + 7) / 8
-		}
-		fmt.Fprintf(report, "wire: frames=%d bytes=%d logicalBytes=%d overhead=%.2fx\n",
-			res.Wire.FramesSent, res.Wire.BytesSent, logicalBytes, overheadRatio(res.Wire.BytesSent, logicalBytes))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.SolutionOf(res.Run), nil
-}
-
-func overheadRatio(wire, logical int64) float64 {
-	if logical <= 0 {
-		return 0
-	}
-	return float64(wire) / float64(logical)
 }
 
 func loadGraph(path string, stdin io.Reader) (*graph.Graph, error) {

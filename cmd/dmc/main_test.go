@@ -127,30 +127,6 @@ func TestFlagCombinations(t *testing.T) {
 			wantOut: []string{"reliable delivery on", "faults: dropped=", "reliable: vrounds="},
 		},
 		{
-			name: "seq-rejects-multiproc", args: []string{"-problem", "acyclic", "-seq", "-multiproc"}, stdin: text,
-			wantErr: "-multiproc applies to the CONGEST run",
-		},
-		{
-			name: "multiproc-rejects-parallel", args: []string{"-problem", "acyclic", "-multiproc", "-parallel"}, stdin: text,
-			wantErr: "-multiproc already executes across processes",
-		},
-		{
-			name: "multiproc-rejects-workers", args: []string{"-problem", "acyclic", "-multiproc", "-workers", "2"}, stdin: text,
-			wantErr: "-multiproc already executes across processes",
-		},
-		{
-			name: "multiproc-shards-zero", args: []string{"-problem", "acyclic", "-multiproc", "-shards", "0"}, stdin: text,
-			wantErr: "shard count must be >= 1",
-		},
-		{
-			name: "multiproc-rejects-trace-with-faults", args: []string{"-problem", "acyclic", "-multiproc", "-trace", "-", "-faults", "-drop-rate", "0.1"}, stdin: text,
-			wantErr: "tracing and frame faults cannot be combined",
-		},
-		{
-			name: "multiproc-rejects-crash-rate", args: []string{"-problem", "acyclic", "-multiproc", "-faults", "-drop-rate", "0.1", "-crash-rate", "0.1"}, stdin: text,
-			wantErr: "do not model node crashes",
-		},
-		{
 			name: "seq-d-zero", args: []string{"-problem", "acyclic", "-seq", "-d", "0"}, stdin: cycle,
 			wantOut: []string{"result: accepted=false"},
 		},

@@ -210,8 +210,7 @@ type FaultInjector interface {
 // with splitmix64's finalizer. A fault decision built on it is a pure
 // function of what it concerns, so any shard may evaluate it in any order:
 // the engine's bit corruption and faults.Injector key messages by
-// (sender, seq), faults.FrameInjector keys frames by (source, destination
-// shard). Independent decisions about one key use distinct lanes.
+// (sender, seq). Independent decisions about one key use distinct lanes.
 func KeyedDraw(seed int64, round, a, b int, lane uint64) float64 {
 	z := uint64(seed) ^
 		uint64(round)*0x9E3779B97F4A7C15 ^
@@ -256,7 +255,7 @@ type Options struct {
 	// disables tracing at no measurable cost). Installing one does not
 	// change how the run executes: delivery shards buffer their events, and
 	// the engine replays them at the end of each round in sender-vertex
-	// order (see ReplayRound), so the event stream is identical for any
+	// order (see replayRound), so the event stream is identical for any
 	// Workers value.
 	Tracer Tracer
 	// Injector subjects the run to message drops, duplication, delays, and
@@ -448,35 +447,33 @@ func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScrat
 	for v := range nodes {
 		nodes[v] = factory(v)
 	}
-	envs := s.buildEnvs(0, n, bandwidth)
+	envs := s.buildEnvs(bandwidth)
 	return newEngine(s, nodes, envs, bandwidth, scratch)
 }
 
-// buildEnvs builds the node-local views for vertices [lo, hi) — the whole
-// graph for startRun, one range for a SubEngine — on flat arenas: one Env
-// array and one backing slice per port-indexed field, sliced per vertex
+// buildEnvs builds the node-local views of every vertex on flat arenas: one
+// Env array and one backing slice per port-indexed field, sliced per vertex
 // along the CSR offsets, instead of 3n+1 small allocations. Per-port label
 // maps are only materialized when the graph carries edge labels; readers
 // index PortLabels[p][name], and a nil map reads as all-false.
-func (s *Simulator) buildEnvs(lo, hi, bandwidth int) []*Env {
+func (s *Simulator) buildEnvs(bandwidth int) []*Env {
 	n := s.g.NumVertices()
-	base := s.csr.off[lo]
-	ports := int(s.csr.off[hi] - base)
-	envs := make([]*Env, hi-lo)
-	envArr := make([]Env, hi-lo)
+	ports := int(s.csr.off[n])
+	envs := make([]*Env, n)
+	envArr := make([]Env, n)
 	nbrIDArena := make([]int, ports)
 	weightArena := make([]int64, ports)
 	labelArena := make([]map[string]bool, ports)
 	vertexLabelNames := s.g.VertexLabelNames()
 	edgeLabelNames := s.g.EdgeLabelNames()
-	for v := lo; v < hi; v++ {
-		plo, phi := s.csr.off[v]-base, s.csr.off[v+1]-base
+	for v := 0; v < n; v++ {
+		plo, phi := s.csr.off[v], s.csr.off[v+1]
 		nbrIDs := nbrIDArena[plo:phi:phi]
 		portWeight := weightArena[plo:phi:phi]
 		portLabels := labelArena[plo:phi:phi]
 		for p := int32(0); p < phi-plo; p++ {
-			nbrIDs[p] = s.ids[s.csr.nbr[base+plo+p]]
-			eid := int(s.csr.edge[base+plo+p])
+			nbrIDs[p] = s.ids[s.csr.nbr[plo+p]]
+			eid := int(s.csr.edge[plo+p])
 			portWeight[p] = s.g.EdgeWeight(eid)
 			if len(edgeLabelNames) > 0 {
 				labels := make(map[string]bool, len(edgeLabelNames))
@@ -497,7 +494,7 @@ func (s *Simulator) buildEnvs(lo, hi, bandwidth int) []*Env {
 				}
 			}
 		}
-		envArr[v-lo] = Env{
+		envArr[v] = Env{
 			ID:          s.ids[v],
 			Degree:      int(phi - plo),
 			NeighborIDs: nbrIDs,
@@ -508,7 +505,7 @@ func (s *Simulator) buildEnvs(lo, hi, bandwidth int) []*Env {
 			PortWeight:  portWeight,
 			PortLabels:  portLabels,
 		}
-		envs[v-lo] = &envArr[v-lo]
+		envs[v] = &envArr[v]
 	}
 	return envs
 }

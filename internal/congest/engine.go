@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/congest/transport"
 )
 
 // This file is the simulator's execution engine: a sharded pipeline that
@@ -28,11 +26,8 @@ import (
 // Sequential and parallel runs, traced or not, faulted or not, execute the
 // same code: every fault decision is a pure function of the message's
 // (round, sender, seq) key, and buffered trace events are replayed after the
-// round in (sender, seq) order by ReplayRound, so results and traces are
-// bit-identical for any worker or shard count. A SubEngine is one shard of
-// this engine whose buckets travel over the wire instead of to sibling
-// shards; the multi-process coordinator merges its events with the same
-// ReplayRound.
+// round in (sender, seq) order by replayRound, so results and traces are
+// bit-identical for any worker or shard count.
 //
 // When Options.Parallel is set the per-shard phases execute on a persistent
 // worker pool (spawned once per run, not per round); otherwise they run
@@ -44,17 +39,27 @@ import (
 // round r+1's payloads while other shards' node programs still read the
 // payloads delivered in round r.
 
+// routedMsg is one validated message in a route bucket. From/To are vertex
+// indices, Port is the receiver's port, Seq numbers the sender's emissions
+// within the round (the fault-draw and trace-merge key), and Kind is the
+// sender's trace tag ("" outside traced runs).
+type routedMsg struct {
+	From, To, Port, Seq int32
+	Kind                string
+	Payload             []byte
+}
+
 // delayedMsg is a validated message an injector deferred: it owns a copy of
 // its payload and waits in its receiver shard's queue until round due.
 type delayedMsg struct {
 	due  int
 	sent int // the round it was sent in, its trace-merge key
-	m    transport.Msg
+	m    routedMsg
 }
 
 // shard owns a contiguous vertex range [lo, hi) and all per-shard state.
-// Vertex-indexed slices are shard-local (index v-lo); in-process they are
-// views of engine-wide scratch arrays, in a SubEngine the shard owns them.
+// Vertex-indexed slices are shard-local (index v-lo) views of engine-wide
+// scratch arrays.
 type shard struct {
 	lo, hi int
 	// active lists the shard's non-halted vertices in ascending order.
@@ -71,7 +76,7 @@ type shard struct {
 
 	// Sender side. routes[t] buffers this shard's messages to receiver shard
 	// t, in sender-vertex and seq order; reused across rounds.
-	routes [][]transport.Msg
+	routes [][]routedMsg
 	// arena holds payload copies, double-buffered by round parity: slices
 	// handed out for round r stay valid while round r+1 writes the other
 	// half. Reallocation on growth is safe — previously handed-out slices
@@ -94,7 +99,7 @@ type shard struct {
 	delayed []delayedMsg
 	// events buffers the round's trace events (traced runs only); halts
 	// lists the vertices that halted this round, ascending.
-	events []TraceEvent
+	events []traceEvent
 	halts  []int32
 	// Per-round accumulators, folded into Stats after each round.
 	messages   int64
@@ -161,8 +166,8 @@ type engine struct {
 	// traced makes emit tag messages with the sender's kind and deliver
 	// buffer trace events.
 	traced bool
-	// events gathers the shards' buffered events for ReplayRound.
-	events []TraceEvent
+	// events gathers the shards' buffered events for replayRound.
+	events []traceEvent
 
 	// ctx, when non-nil, is polled at every round barrier.
 	ctx context.Context
@@ -318,12 +323,12 @@ func (e *engine) route() error {
 		if e.traced {
 			e.events = append(e.events, sh.events...)
 			for _, v := range sh.halts {
-				e.events = append(e.events, TraceEvent{Sent: int32(e.round), From: v, Seq: HaltSeq})
+				e.events = append(e.events, traceEvent{Sent: int32(e.round), From: v, Seq: haltSeq})
 			}
 		}
 	}
 	if e.traced {
-		ReplayRound(e.s.opts.Tracer, e.round, e.s.ids, e.events)
+		replayRound(e.s.opts.Tracer, e.round, e.s.ids, e.events)
 	}
 	e.trace.roundEnd(e.round, e.n-e.haltedCount, e.haltedCount)
 	return nil
@@ -514,7 +519,7 @@ outbox:
 			start := len(arena)
 			arena = append(arena, o.Payload...)
 			t := e.shardOf(w)
-			sh.routes[t] = append(sh.routes[t], transport.Msg{
+			sh.routes[t] = append(sh.routes[t], routedMsg{
 				From: v, To: w, Port: csr.back[base+int32(p)], Seq: seq,
 				Kind: kind, Payload: arena[start:len(arena):len(arena)],
 			})
@@ -571,12 +576,11 @@ func (e *engine) beginDeliver(sh *shard) {
 	sh.delayed = sh.delayed[:k]
 }
 
-// deliverLate delivers one copy sent in an earlier round (fault-delayed in
-// process, frame-delayed across processes). Delivery targets the current
-// parity's inboxes — the generation node programs read next round, exactly
-// when an on-time message sent this round arrives. A copy whose receiver
-// halted or is down is lost.
-func (e *engine) deliverLate(sh *shard, m transport.Msg, sent int) {
+// deliverLate delivers one fault-delayed copy sent in an earlier round.
+// Delivery targets the current parity's inboxes — the generation node
+// programs read next round, exactly when an on-time message sent this round
+// arrives. A copy whose receiver halted or is down is lost.
+func (e *engine) deliverLate(sh *shard, m routedMsg, sent int) {
 	i := int(m.To) - sh.lo
 	if sh.halted[i] || (sh.down != nil && sh.down[i]) {
 		sh.faults.Lost++
@@ -591,7 +595,7 @@ func (e *engine) deliverLate(sh *shard, m transport.Msg, sent int) {
 // message is dropped, uncounted, if its receiver halted in an earlier round,
 // or halts this round and precedes the sender in vertex order — exactly
 // what a serial pass marking halts in sender-vertex order would see.
-func (e *engine) deliver(sh *shard, msgs []transport.Msg) {
+func (e *engine) deliver(sh *shard, msgs []routedMsg) {
 	inboxes := sh.inboxes[e.round&1]
 	for k := range msgs {
 		m := &msgs[k]
@@ -614,7 +618,7 @@ func (e *engine) deliver(sh *shard, msgs []transport.Msg) {
 // deliverFaulted applies the crash set, the injector's plan and bit
 // corruption to one message. Every decision is keyed by the message's
 // (round, sender, seq), so shards may evaluate them in any order.
-func (e *engine) deliverFaulted(sh *shard, m *transport.Msg) {
+func (e *engine) deliverFaulted(sh *shard, m *routedMsg) {
 	i := int(m.To) - sh.lo
 	if sh.down != nil && sh.down[i] {
 		// The receiver is crashed while the message is in transit.
@@ -662,7 +666,7 @@ const (
 	laneCorruptBit  = 0x14057B7EF767814F
 )
 
-func (e *engine) keyedDraw(m *transport.Msg, lane uint64) float64 {
+func (e *engine) keyedDraw(m *routedMsg, lane uint64) float64 {
 	return KeyedDraw(e.s.opts.CorruptSeed, e.round, int(m.From), int(m.Seq), lane)
 }
 
@@ -674,7 +678,7 @@ func (sh *shard) copy(p []byte) []byte {
 }
 
 // postpone queues an owned copy of m for delivery delay rounds late.
-func (e *engine) postpone(sh *shard, m *transport.Msg, delay int) {
+func (e *engine) postpone(sh *shard, m *routedMsg, delay int) {
 	d := delayedMsg{due: e.round + delay, sent: e.round, m: *m}
 	d.m.Payload = append([]byte(nil), m.Payload...)
 	sh.delayed = append(sh.delayed, d)
@@ -682,7 +686,7 @@ func (e *engine) postpone(sh *shard, m *transport.Msg, delay int) {
 
 // accept appends one copy to its receiver's inbox, counts it, and buffers
 // its send event.
-func (e *engine) accept(sh *shard, sent int, m *transport.Msg, payload []byte) {
+func (e *engine) accept(sh *shard, sent int, m *routedMsg, payload []byte) {
 	i := int(m.To) - sh.lo
 	inboxes := sh.inboxes[e.round&1]
 	inboxes[i] = append(inboxes[i], Incoming{Port: int(m.Port), Payload: payload})
@@ -704,17 +708,17 @@ func (sh *shard) count(payloadLen int) {
 }
 
 // sendEvent buffers the send event of one delivered copy.
-func (sh *shard) sendEvent(sent int, m *transport.Msg, payloadLen int) {
-	sh.events = append(sh.events, TraceEvent{
+func (sh *shard) sendEvent(sent int, m *routedMsg, payloadLen int) {
+	sh.events = append(sh.events, traceEvent{
 		Sent: int32(sent), From: m.From, Seq: m.Seq,
 		To: m.To, Port: m.Port, Bits: int32(8 * payloadLen), Kind: m.Kind,
 	})
 }
 
 // faultEvent buffers one injected-fault event (traced runs only).
-func (e *engine) faultEvent(sh *shard, sent int, m *transport.Msg, kind string, detail int) {
+func (e *engine) faultEvent(sh *shard, sent int, m *routedMsg, kind string, detail int) {
 	if e.traced {
-		sh.events = append(sh.events, TraceEvent{
+		sh.events = append(sh.events, traceEvent{
 			Sent: int32(sent), From: m.From, Seq: m.Seq, To: m.To,
 			Fault: kind, Detail: int32(detail),
 		})

@@ -1,10 +1,6 @@
 package congest
 
-import (
-	"sync"
-
-	"repro/internal/congest/transport"
-)
+import "sync"
 
 // ScratchPool recycles the engine's per-run allocation-heavy state — halt
 // flags, outboxes, the double-buffered inboxes, and the shards with their
@@ -100,24 +96,18 @@ func newEngineScratch(key scratchKey) *engineScratch {
 	for i := range sc.shards {
 		lo := i * key.shardSize
 		hi := min(lo+key.shardSize, n)
-		sh := newShard(lo, hi, nShards, key.maxDeg)
-		sh.halted, sh.dones = sc.halted[lo:hi], sc.dones[lo:hi]
-		sh.outs = sc.outs[lo:hi]
-		sh.inboxes = [2][][]Incoming{sc.inboxes[0][lo:hi], sc.inboxes[1][lo:hi]}
-		sc.shards[i] = sh
+		sc.shards[i] = &shard{
+			lo: lo, hi: hi,
+			active:   make([]int32, 0, hi-lo),
+			routes:   make([][]routedMsg, nShards),
+			portBits: make([]int, key.maxDeg),
+			halted:   sc.halted[lo:hi],
+			dones:    sc.dones[lo:hi],
+			outs:     sc.outs[lo:hi],
+			inboxes:  [2][][]Incoming{sc.inboxes[0][lo:hi], sc.inboxes[1][lo:hi]},
+		}
 	}
 	return sc
-}
-
-// newShard allocates the per-shard buffers of the vertex range [lo, hi)
-// routing to nRoutes receiver shards; the caller sets the vertex views.
-func newShard(lo, hi, nRoutes, maxDeg int) *shard {
-	return &shard{
-		lo: lo, hi: hi,
-		active:   make([]int32, 0, hi-lo),
-		routes:   make([][]transport.Msg, nRoutes),
-		portBits: make([]int, maxDeg),
-	}
 }
 
 // reset restores the scratch to its pre-run state, keeping every buffer's

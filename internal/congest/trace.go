@@ -34,7 +34,7 @@ type SendEvent struct {
 // Tracer observes a simulation at round granularity. All hooks are invoked
 // from the goroutine driving the run, never from the worker pool, so
 // implementations need no locking. Send, fault and halt events are buffered
-// during a round and replayed at its end (see ReplayRound). A nil Tracer
+// during a round and replayed at its end (see replayRound). A nil Tracer
 // in Options disables tracing with no measurable cost (a single pointer
 // comparison per hook site).
 type Tracer interface {
@@ -123,32 +123,31 @@ func (ts traceSink) runEnd(stats Stats) {
 	}
 }
 
-// HaltSeq is the Seq of a halt TraceEvent: a node's halt replays after all
+// haltSeq is the Seq of a halt traceEvent: a node's halt replays after all
 // of its sends.
-const HaltSeq = math.MaxInt32
+const haltSeq = math.MaxInt32
 
-// TraceEvent is one send, fault or halt event buffered while a round's
+// traceEvent is one send, fault or halt event buffered while a round's
 // deliveries run in parallel. It carries the key of the message it belongs
 // to — the round the message was sent in, its sender vertex, and the
-// sender's per-round emission index — so ReplayRound can restore the order
+// sender's per-round emission index — so replayRound can restore the order
 // a serial pass over senders would have produced. A halt has From set to the
-// halting vertex and Seq = HaltSeq; a fault event has Fault set to its
+// halting vertex and Seq = haltSeq; a fault event has Fault set to its
 // FaultEvent kind; every other event is a send.
-type TraceEvent struct {
+type traceEvent struct {
 	Sent, From, Seq        int32
 	To, Port, Bits, Detail int32
 	Fault, Kind            string
 }
 
-// ReplayRound feeds one round's buffered events to tr in the serial order:
+// replayRound feeds one round's buffered events to tr in the serial order:
 // copies sent in earlier rounds (delayed) first, in the order they were
 // deferred, then ascending sender vertex, each sender's messages in emission
 // order, and a sender's halt after its messages. Events sharing a key belong
 // to one message and were buffered by one shard in order, so the stable sort
-// keeps them in sequence. ids maps vertices to identifiers. Both the engine
-// and the multi-process coordinator replay through it.
-func ReplayRound(tr Tracer, round int, ids []int, evs []TraceEvent) {
-	slices.SortStableFunc(evs, func(a, b TraceEvent) int {
+// keeps them in sequence. ids maps vertices to identifiers.
+func replayRound(tr Tracer, round int, ids []int, evs []traceEvent) {
+	slices.SortStableFunc(evs, func(a, b traceEvent) int {
 		if c := cmp.Compare(a.Sent, b.Sent); c != 0 {
 			return c
 		}
@@ -160,7 +159,7 @@ func ReplayRound(tr Tracer, round int, ids []int, evs []TraceEvent) {
 	ft, _ := tr.(FaultTracer)
 	for _, ev := range evs {
 		switch {
-		case ev.Seq == HaltSeq:
+		case ev.Seq == haltSeq:
 			tr.NodeHalted(round, ids[ev.From])
 		case ev.Fault != "":
 			if ft != nil {

@@ -257,9 +257,8 @@ type Solution struct {
 	Reliability protocols.RelStats
 }
 
-// SolutionOf converts a protocol run's result, in-process or assembled by
-// the multi-process coordinator, into a Solution.
-func SolutionOf(run *protocols.RunResult) *Solution {
+// solutionOf converts a protocol run's result into a Solution.
+func solutionOf(run *protocols.RunResult) *Solution {
 	sel := run.Selected
 	if sel == nil {
 		sel = run.SelectedEdges
@@ -405,7 +404,7 @@ func Solve(r Request) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolutionOf(run), nil
+	return solutionOf(run), nil
 }
 
 // solveSequential runs Algorithm 1 through the problem's phase.

@@ -107,7 +107,6 @@ func All() []Experiment {
 		{"S3", S3Faults},
 		{"S4", S4Serve},
 		{"S6", S6TD},
-		{"S7", S7Multiproc},
 	}
 }
 

@@ -197,11 +197,10 @@ func (inj *Injector) OnSend(round, from, to, seq int) congest.FaultPlan {
 	return plan(inj.cfg, round, from, seq)
 }
 
-// plan draws the drop/dup/delay decisions of one message or frame keyed by
-// (round, a, b). Injector keys messages by (sender, seq), FrameInjector
-// frames by (source, destination shard).
-func plan(c Config, round, a, b int) congest.FaultPlan {
-	draw := func(lane uint64) float64 { return congest.KeyedDraw(c.Seed, round, a, b, lane) }
+// plan draws the drop/dup/delay decisions of the message keyed by
+// (round, from, seq).
+func plan(c Config, round, from, seq int) congest.FaultPlan {
+	draw := func(lane uint64) float64 { return congest.KeyedDraw(c.Seed, round, from, seq, lane) }
 	var p congest.FaultPlan
 	if c.DropRate > 0 && draw(laneDrop) < c.DropRate {
 		p.Drop = true

@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/congest"
@@ -82,6 +83,111 @@ func TestQuiet(t *testing.T) {
 			t.Errorf("Quiet(%+v) = %v, want %v", tc.cfg, got, tc.want)
 		}
 	}
+}
+
+// TestOnSendDeterminism: OnSend is a pure function of the seed and the
+// message key. Equal Configs give equal plans, re-evaluation never shifts a
+// plan, and concurrent callers (the engine's delivery shards) see the serial
+// plans.
+func TestOnSendDeterminism(t *testing.T) {
+	cfg := Config{Seed: 42, DropRate: 0.3, DupRate: 0.2, ReorderRate: 0.2, ReorderWindow: 4}
+	a, b := New(cfg), New(cfg)
+	const rounds, senders, seqs = 50, 4, 4
+	want := make([]congest.FaultPlan, rounds*senders*seqs)
+	for round := 0; round < rounds; round++ {
+		for from := 0; from < senders; from++ {
+			for seq := 0; seq < seqs; seq++ {
+				p1 := a.OnSend(round, from, from+1, seq)
+				if p2 := b.OnSend(round, from, from+1, seq); p1 != p2 {
+					t.Fatalf("(%d,%d,%d): plans diverged: %+v vs %+v", round, from, seq, p1, p2)
+				}
+				if p3 := a.OnSend(round, from, from+1, seq); p3 != p1 {
+					t.Fatalf("(%d,%d,%d): re-evaluation shifted: %+v vs %+v", round, from, seq, p3, p1)
+				}
+				want[(round*senders+from)*seqs+seq] = p1
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	got := make([]congest.FaultPlan, len(want))
+	for from := 0; from < senders; from++ {
+		wg.Add(1)
+		go func(from int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for seq := 0; seq < seqs; seq++ {
+					got[(round*senders+from)*seqs+seq] = a.OnSend(round, from, from+1, seq)
+				}
+			}
+		}(from)
+	}
+	wg.Wait()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("key %d: concurrent plan %+v, serial plan %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOnSendSeedIndependence: different seeds give different schedules
+// (same distribution, independent samples).
+func TestOnSendSeedIndependence(t *testing.T) {
+	c, d := New(Config{Seed: 1, DropRate: 0.5}), New(Config{Seed: 2, DropRate: 0.5})
+	same := 0
+	const total = 500
+	for round := 0; round < total; round++ {
+		if c.OnSend(round, 0, 1, 0) == d.OnSend(round, 0, 1, 0) {
+			same++
+		}
+	}
+	if same == total {
+		t.Fatal("seeds 1 and 2 produced identical schedules")
+	}
+}
+
+// TestOnSendRatesAndBounds: empirical rates land near the configured
+// probabilities, every delay stays inside the reorder window, and a dropped
+// message is never also delayed.
+func TestOnSendRatesAndBounds(t *testing.T) {
+	cfg := Config{Seed: 1234, DropRate: 0.25, DupRate: 0.15, ReorderRate: 0.2, ReorderWindow: 3}
+	inj := New(cfg)
+	var n, drops, dups, delays int
+	for round := 0; round < 2000; round++ {
+		for from := 0; from < 3; from++ {
+			for seq := 0; seq < 2; seq++ {
+				p := inj.OnSend(round, from, from+1, seq)
+				n++
+				if p.Drop {
+					drops++
+				}
+				if p.Dup > 0 {
+					dups++
+					if p.DupDelay < 0 || p.DupDelay > cfg.ReorderWindow {
+						t.Fatalf("DupDelay %d outside [0, %d]", p.DupDelay, cfg.ReorderWindow)
+					}
+				}
+				if p.Delay != 0 {
+					delays++
+					if p.Drop {
+						t.Fatal("dropped message also delayed")
+					}
+					if p.Delay < 1 || p.Delay > cfg.ReorderWindow {
+						t.Fatalf("Delay %d outside [1, %d]", p.Delay, cfg.ReorderWindow)
+					}
+				}
+			}
+		}
+	}
+	check := func(name string, got int, want float64) {
+		rate := float64(got) / float64(n)
+		if math.Abs(rate-want) > 0.02 {
+			t.Errorf("%s rate %.4f, want %.2f ± 0.02 (%d of %d)", name, rate, want, got, n)
+		}
+	}
+	check("drop", drops, cfg.DropRate)
+	check("dup", dups, cfg.DupRate)
+	// Delay only applies to undropped messages.
+	check("delay", delays, cfg.ReorderRate*(1-cfg.DropRate))
 }
 
 func TestStringMentionsKnobs(t *testing.T) {

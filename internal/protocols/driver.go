@@ -124,12 +124,9 @@ func Run(g *graph.Graph, cfg Config, opts congest.Options) (*RunResult, error) {
 // AssembleResult builds a RunResult from the raw per-vertex outputs of a
 // finished run: parent-pointer resolution into the elimination forest, the
 // TdExceeded rules, root-verdict collection, cache aggregation, and
-// selected-set reconstruction. It is the post-processing shared by the
-// in-process driver and the multi-process shard coordinator (which gathers
-// outputs from worker processes instead of local nodes). ids is the run's
-// vertex -> identifier assignment; outputs is vertex-indexed and is
-// retained in the result. Stats and Reliability are left zero for the
-// caller to fill.
+// selected-set reconstruction. ids is the run's vertex -> identifier
+// assignment; outputs is vertex-indexed and is retained in the result.
+// Stats and Reliability are left zero for the caller to fill.
 func AssembleResult(g *graph.Graph, cfg Config, ids []int, outputs []Output) (*RunResult, error) {
 	n := g.NumVertices()
 	if len(outputs) != n {
