@@ -53,7 +53,11 @@ type Message []byte
 // guarantee, not an accident of the engine). Payload memory is owned by the
 // simulator and is valid only for the duration of the Round call that
 // receives it; nodes that keep bytes across rounds must copy them
-// (ByteStreamReceiver.Feed already does).
+// (ByteStreamReceiver.Feed already does). In the other direction, an
+// Outgoing payload only has to stay valid until the engine has read it,
+// which it does right after the Round (or Init) call that returned it, in
+// the same pool task: a node may rewrite its payload buffers on its next
+// call (ByteStreamSender frames are valid until the sender's next Push).
 type Incoming struct {
 	Port    int
 	Payload Message

@@ -2,6 +2,7 @@ package msoauto
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/bitset"
@@ -157,7 +158,7 @@ func (c patClass) Key() string { return c.key }
 func (e *Engine) basePattern(base *wterm.TerminalGraph, vertexSel uint64, edgeSel map[[2]int]bool) (*pattern, error) {
 	k := base.NumTerminals()
 	if k > maxTerminals {
-		return nil, fmt.Errorf("msoauto: %d terminals exceeds limit %d", k, maxTerminals)
+		return nil, fmt.Errorf("%w: %d terminals exceeds limit %d", ErrLimit, k, maxTerminals)
 	}
 	p := &pattern{
 		k:         k,
@@ -490,8 +491,8 @@ func (e *Engine) Accepting(c regular.Class) (bool, error) {
 		return false, err
 	}
 	if limit := e.representativeLimit(); g.NumVertices() > limit {
-		return false, fmt.Errorf("msoauto: class representative has %d vertices (limit %d for this formula); "+
-			"lower Options.Threshold so the kernelization prunes harder", g.NumVertices(), limit)
+		return false, fmt.Errorf("%w: class representative has %d vertices (limit %d for this formula); "+
+			"lower Options.Threshold so the kernelization prunes harder", ErrLimit, g.NumVertices(), limit)
 	}
 	ev := &mso.Evaluator{G: g, MaxSetUniverse: e.opts.MaxSetUniverse}
 	asg := mso.Assignment{}
@@ -525,12 +526,29 @@ func (e *Engine) Accepting(c regular.Class) (bool, error) {
 func (e *Engine) representativeLimit() int {
 	switch mso.SetQuantifierCount(e.formula) {
 	case 0:
-		return 40
+		return setFreeLimit(mso.QuantifierRank(e.formula))
 	case 1:
 		return 18
 	default:
 		return 12
 	}
+}
+
+// setFreeLimit is the representative limit of a set-free formula of
+// quantifier rank q: the largest size whose size^q stays within what rank 4
+// costs at 40 vertices (40^4 evaluations), and never below 40. A rank-3
+// formula such as triangle-freeness may so evaluate representatives of up
+// to 136 vertices.
+func setFreeLimit(q int) int {
+	const floor, budget = 40, 40 * 40 * 40 * 40
+	if q < 1 {
+		q = 1
+	}
+	limit := int(math.Pow(budget, 1/float64(q)) + 1e-9)
+	if limit < floor {
+		return floor
+	}
+	return limit
 }
 
 // Selection implements regular.Predicate.

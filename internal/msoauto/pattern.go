@@ -26,6 +26,11 @@ import (
 // ErrPattern is wrapped by pattern encoding/decoding errors.
 var ErrPattern = errors.New("msoauto: bad pattern")
 
+// ErrLimit is wrapped by the errors of instances the engine refuses to
+// evaluate: a bag with more than maxTerminals terminals, or a class
+// representative past the formula's size limit.
+var ErrLimit = errors.New("msoauto: engine limit exceeded")
+
 // maxTerminals bounds bag sizes so masks fit in uint64.
 const maxTerminals = 62
 

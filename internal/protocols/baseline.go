@@ -44,8 +44,15 @@ func BaselineDecide(g *graph.Graph, solve CentralSolver, opts congest.Options) (
 		if nodes[v].out.IsRoot {
 			res.Accepted = nodes[v].out.Accepted
 		}
-		if nodes[v].out.Failure != failNone {
-			res.TdExceeded = true
+	}
+	// The baseline has no treedepth bound to exceed: a failed central solve
+	// returns the solver's error, and any other failure is a protocol error.
+	for v := 0; v < n; v++ {
+		switch out := nodes[v].out; {
+		case out.Err != nil:
+			return nil, out.Err
+		case out.Failure != failNone:
+			return nil, fmt.Errorf("%w: baseline node %d failed", ErrProtocol, v)
 		}
 	}
 	return res, nil
@@ -114,7 +121,7 @@ func (b *baselineNode) Round(env *congest.Env, inbox []congest.Incoming) ([]cong
 				break
 			}
 			if err := b.handle(port, msg); err != nil {
-				b.out.Failure = failInvalid
+				b.out.Failure = failProtocol
 				b.done = true
 			}
 		}
@@ -277,10 +284,10 @@ func (b *baselineNode) solveAtRoot() {
 		if dec, err := b.solve(g); err == nil {
 			accepted = dec
 		} else {
-			b.out.Failure = failInvalid
+			b.out.Failure, b.out.Err = failPredicate, err
 		}
 	} else {
-		b.out.Failure = failInvalid
+		b.out.Failure = failProtocol
 	}
 	b.out.Accepted = accepted
 	b.forwardAnswer()

@@ -363,7 +363,7 @@ func (r *Reliable) drainPort(pi int) {
 		if flags&relFlagChunk == 0 {
 			continue
 		}
-		chunk, err := rd.bytes()
+		chunk, err := rd.bytesView() // appended to recordBuf before the next Feed
 		if err != nil {
 			r.poisonLocal(pi, reasonMalformed)
 			return

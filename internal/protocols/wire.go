@@ -90,10 +90,10 @@ func (r *wireReader) bytes() ([]byte, error) {
 }
 
 // bytesView is bytes without the defensive copy: the returned slice aliases
-// the reader's buffer. Use it only when the underlying message buffer is
-// owned by the caller and outlives every use of the view (table entries
-// decoded from a popped stream message qualify — Pop hands over a fresh
-// buffer that is never reused).
+// the reader's buffer. Use it only when that buffer outlives every use of
+// the view: a message popped from a ByteStreamReceiver is valid only until
+// the stream's next Feed, so a view kept longer needs a reader over a copy
+// (handleTable makes one).
 func (r *wireReader) bytesView() ([]byte, error) {
 	n, err := r.u32()
 	if err != nil {

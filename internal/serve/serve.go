@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/msoauto"
 	"repro/internal/protocols"
 	"repro/internal/regular"
 )
@@ -451,6 +452,10 @@ func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, 
 			return nil, http.StatusGatewayTimeout, fmt.Errorf("solve timed out after %v", s.opts.RequestTimeout)
 		case errors.Is(err, protocols.ErrUnrecoverable):
 			return nil, http.StatusUnprocessableEntity, fmt.Errorf("faults exceeded the retry budget: %v", err)
+		case errors.Is(err, regular.ErrOverflow) || errors.Is(err, msoauto.ErrLimit):
+			// The instance is well-formed but past what the predicate can
+			// evaluate; both modes fail the same way.
+			return nil, http.StatusUnprocessableEntity, err
 		case errors.As(err, new(*core.FieldError)) || errors.Is(err, protocols.ErrProtocol):
 			return nil, http.StatusBadRequest, jsonError(err)
 		default:

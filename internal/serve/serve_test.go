@@ -429,3 +429,48 @@ func TestFormulaCacheLRU(t *testing.T) {
 		t.Fatalf("problem caches = %d, want 1 (never evicted)", nProblem)
 	}
 }
+
+// TestPredicateErrorsUnprocessable: a well-formed instance the predicate
+// cannot evaluate — a count past 2^63, a class representative past the
+// generic engine's limit — is answered 422 in both modes, never as a
+// "td_exceeded" verdict. Both graphs have treedepth within the requested d.
+func TestPredicateErrorsUnprocessable(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A hub with a pendant and 63 C4s hung off it: td = 4, 2^63 perfect
+	// matchings.
+	hub := graph.New(2 + 4*63)
+	edges := [][2]int{{0, 1}}
+	for a := 2; a < hub.NumVertices(); a += 4 {
+		edges = append(edges, [2]int{a, a + 1}, [2]int{a + 1, a + 2}, [2]int{a + 2, a + 3}, [2]int{a + 3, a}, [2]int{0, a})
+	}
+	for _, e := range edges {
+		if _, err := hub.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bounded, _ := gen.BoundedTreedepth(200, 3, 0.3, 5)
+	cases := []struct {
+		name string
+		req  CheckRequest
+		want string
+	}{
+		{"count-overflow", CheckRequest{Graph: edgeListText(t, hub), Problem: "count-perfect-matchings", D: 4}, "table arithmetic overflow"},
+		{"engine-limit", CheckRequest{Graph: edgeListText(t, bounded), Formula: "~ exists x:V,y:V,z:V . adj(x,y) & adj(y,z) & adj(z,x)", D: 3}, "engine limit exceeded"},
+	}
+	for _, tc := range cases {
+		for _, mode := range []string{"dist", "seq"} {
+			req := tc.req
+			req.Mode = mode
+			if mode == "seq" {
+				req.D = 0
+			}
+			_, code, raw := postCheck(t, ts, req)
+			if code != http.StatusUnprocessableEntity || !strings.Contains(raw, tc.want) {
+				t.Errorf("%s/%s: status %d body %s, want 422 naming %q", tc.name, mode, code, raw, tc.want)
+			}
+		}
+	}
+}
