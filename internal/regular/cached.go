@@ -96,6 +96,9 @@ type cacheCore struct {
 
 	in *Interner
 
+	// gluingIDs and cur are made on first insert: a protocol node with no
+	// children never glues, and a private cache per node is the common
+	// case, so the empty maps would be pure per-node overhead.
 	gluingIDs map[string]GluingID
 	gluings   []wterm.Gluing
 
@@ -122,8 +125,6 @@ func newCacheCore(pred Predicate) *cacheCore {
 	return &cacheCore{
 		pred:       pred,
 		in:         NewInterner(),
-		gluingIDs:  make(map[string]GluingID),
-		cur:        make(map[composeKey]composeVal),
 		composeCap: DefaultComposeCap,
 	}
 }
@@ -155,7 +156,10 @@ func (k *cacheCore) lookupCompose(key composeKey) (composeVal, bool) {
 //
 //dmclint:requires-lock mu
 func (k *cacheCore) insertCompose(key composeKey, v composeVal) {
-	if len(k.cur) >= k.segCap() {
+	switch {
+	case k.cur == nil:
+		k.cur = make(map[composeKey]composeVal)
+	case len(k.cur) >= k.segCap():
 		k.evictions += int64(len(k.prev))
 		k.prev = k.cur
 		k.cur = make(map[composeKey]composeVal, len(k.prev))
@@ -294,6 +298,9 @@ func (c *Cached) internGluingLocked(key string, f wterm.Gluing) GluingID {
 		return id
 	}
 	id := GluingID(len(c.gluings))
+	if c.gluingIDs == nil {
+		c.gluingIDs = make(map[string]GluingID)
+	}
 	c.gluingIDs[key] = id
 	c.gluings = append(c.gluings, f)
 	return id
@@ -545,12 +552,12 @@ func (c *Cached) selectionMissLocked(id ClassID) (Selection, error) {
 //dmclint:requires-lock mu
 func (c *Cached) growClassMemos() {
 	n := c.in.Len()
-	for len(c.accept) < n {
-		c.accept = append(c.accept, 0)
+	if k := n - len(c.accept); k > 0 {
+		c.accept = append(c.accept, make([]uint8, k)...)
 	}
-	for len(c.sel) < n {
-		c.sel = append(c.sel, Selection{})
-		c.selOK = append(c.selOK, false)
+	if k := n - len(c.sel); k > 0 {
+		c.sel = append(c.sel, make([]Selection, k)...)
+		c.selOK = append(c.selOK, make([]bool, k)...)
 	}
 }
 

@@ -59,6 +59,15 @@ func (c *Cached) nextEpoch() {
 	}
 }
 
+// reserveBase sizes a private cache's still empty interner for a base
+// table's classes (see Interner.reserve). A shared interner is long-lived
+// and keeps growing as it goes.
+func (c *Cached) reserveBase(n int) {
+	if c.mu == nil {
+		c.in.reserve(n)
+	}
+}
+
 // ensureScratch extends the fold scratch to cover id.
 func (c *Cached) ensureScratch(id ClassID) {
 	for int(id) >= len(c.slot) {
@@ -316,6 +325,7 @@ func (c *Cached) BaseDenseSet(base *wterm.TerminalGraph) (DenseSet, error) {
 	if err != nil {
 		return DenseSet{}, err
 	}
+	c.reserveBase(len(classes))
 	c.nextEpoch()
 	out := make([]ClassID, 0, len(classes))
 	for _, bc := range classes {
@@ -337,6 +347,7 @@ func (c *Cached) BaseDenseOpt(base *wterm.TerminalGraph, ownerRank int, maximize
 	if err != nil {
 		return DenseOpt{}, err
 	}
+	c.reserveBase(len(classes))
 	c.nextEpoch()
 	ids := make([]ClassID, 0, len(classes))
 	weights := make([]int64, 0, len(classes))
@@ -368,6 +379,7 @@ func (c *Cached) BaseDenseCount(base *wterm.TerminalGraph) (DenseCount, error) {
 	if err != nil {
 		return DenseCount{}, err
 	}
+	c.reserveBase(len(classes))
 	c.nextEpoch()
 	ids := make([]ClassID, 0, len(classes))
 	counts := make([]int64, 0, len(classes))

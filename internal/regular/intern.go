@@ -67,6 +67,20 @@ func (in *Interner) InternKeyed(key string, c Class) ClassID {
 	return id
 }
 
+// reserve sizes an empty interner for n classes, so that interning a base
+// table's classes, the first thing a fresh per-node cache does, grows no
+// map or slice step by step. An interner that already holds classes is
+// left alone.
+func (in *Interner) reserve(n int) {
+	if len(in.classes) != 0 || n <= 0 {
+		return
+	}
+	in.byKey = make(map[string]ClassID, n)
+	in.classes = make([]Class, 0, n)
+	in.keys = make([]string, 0, n)
+	in.sorted = make([]ClassID, 0, n)
+}
+
 // Lookup returns the ID previously interned for key, if any.
 func (in *Interner) Lookup(key string) (ClassID, bool) {
 	id, ok := in.byKey[key]

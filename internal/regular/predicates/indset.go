@@ -23,7 +23,8 @@ type indsetClass struct {
 }
 
 func (c indsetClass) Key() string {
-	return string(putU64(putU8(nil, c.n), c.mask))
+	var b [9]byte
+	return string(putU64(putU8(b[:0], c.n), c.mask))
 }
 
 // Name implements regular.Predicate.
@@ -39,23 +40,30 @@ func (IndependentSet) HomBase(base *wterm.TerminalGraph) ([]regular.BaseClass, e
 	if err := checkTerminalCount(n); err != nil {
 		return nil, err
 	}
-	var out []regular.BaseClass
+	// Collect the independent masks first, so that the class list is
+	// allocated once at its final size.
+	var masks []uint64
+	edges := base.G.Edges()
 	err := enumerateMasks(n, func(mask uint64) error {
-		for _, e := range base.G.Edges() {
+		for _, e := range edges {
 			// Terminals are exactly the local vertices in rank order for base
 			// graphs produced by wterm.BaseFromBag.
 			if mask&(1<<uint(e.U)) != 0 && mask&(1<<uint(e.V)) != 0 {
 				return nil // adjacent pair selected: not independent
 			}
 		}
-		out = append(out, regular.BaseClass{
-			Class: indsetClass{n: uint8(n), mask: mask},
-			Sel:   regular.Selection{VertexMask: mask},
-		})
+		masks = append(masks, mask)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := make([]regular.BaseClass, len(masks))
+	for i, mask := range masks {
+		out[i] = regular.BaseClass{
+			Class: indsetClass{n: uint8(n), mask: mask},
+			Sel:   regular.Selection{VertexMask: mask},
+		}
 	}
 	return out, nil
 }

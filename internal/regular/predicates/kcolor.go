@@ -67,6 +67,7 @@ func (p KColorability) HomBase(base *wterm.TerminalGraph) ([]regular.BaseClass, 
 		return nil, err
 	}
 	set := map[string]struct{}{}
+	edges := base.G.Edges()
 	coloring := make([]byte, n)
 	var rec func(i int)
 	rec = func(i int) {
@@ -77,7 +78,7 @@ func (p KColorability) HomBase(base *wterm.TerminalGraph) ([]regular.BaseClass, 
 		for c := 0; c < p.K; c++ {
 			coloring[i] = byte(c)
 			ok := true
-			for _, e := range base.G.Edges() {
+			for _, e := range edges {
 				if e.U < i && e.V == i || e.V < i && e.U == i {
 					other := e.U
 					if other == i {

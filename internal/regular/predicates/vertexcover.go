@@ -19,7 +19,10 @@ type vcClass struct {
 	mask uint64
 }
 
-func (c vcClass) Key() string { return string(putU64(putU8(nil, c.n), c.mask)) }
+func (c vcClass) Key() string {
+	var b [9]byte
+	return string(putU64(putU8(b[:0], c.n), c.mask))
+}
 
 // Name implements regular.Predicate.
 func (VertexCover) Name() string { return "vertex-cover" }
