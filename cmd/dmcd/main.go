@@ -1,7 +1,7 @@
 // Command dmcd is the distributed-model-checking daemon: an HTTP+JSON
 // service answering dmc-style queries over a persistent worker pool, with
-// process-lifetime DP caches shared across requests and recycled CONGEST
-// engine scratch. Answers are bit-identical to one-shot dmc runs.
+// process-lifetime DP caches shared across requests. Answers are
+// bit-identical to one-shot dmc runs.
 //
 //	dmcd -addr :8090 &
 //	curl -s localhost:8090/v1/check -d '{

@@ -105,10 +105,10 @@ func TestFixesAreLoadBearing(t *testing.T) {
 		},
 		{
 			name: "poolpair_defer_separated",
-			file: "internal/congest/congest.go",
-			old:  "scratch := pool.acquire(key)\n\t\tdefer pool.release(scratch)",
-			new:  "scratch := pool.acquire(key)\n\t\t_ = scratch\n\t\tdefer pool.release(scratch)",
-			pkg:  "repro/internal/congest", analyzer: analysis.PoolPair,
+			file: "internal/protocols/driver.go",
+			old:  "pooled := slabPool.Get()\n\tdefer slabPool.Put(pooled)",
+			new:  "pooled := slabPool.Get()\n\t_ = pooled\n\tdefer slabPool.Put(pooled)",
+			pkg:  "repro/internal/protocols", analyzer: analysis.PoolPair,
 			want: "not followed by",
 		},
 	}

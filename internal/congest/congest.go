@@ -273,10 +273,6 @@ type Options struct {
 	// result of a run that completes — it only bounds how long a run may
 	// take, which is what a serving deadline needs.
 	Context context.Context
-	// Scratch, when non-nil, recycles the engine's per-run buffer state
-	// (inboxes, arenas, shard routes) across simulations with the same
-	// layout. Share one pool across a process; results are unaffected.
-	Scratch *ScratchPool
 }
 
 // BandwidthBits reports the per-edge per-round budget these options yield on
@@ -361,8 +357,14 @@ func newCSR(g *graph.Graph) *csrAdj {
 	return c
 }
 
-// degree returns the number of ports of v.
-func (c *csrAdj) degree(v int) int { return int(c.off[v+1] - c.off[v]) }
+// maxDegree returns the largest number of ports of any vertex.
+func (c *csrAdj) maxDegree() int {
+	maxDeg := int32(0)
+	for v := 1; v < len(c.off); v++ {
+		maxDeg = max(maxDeg, c.off[v]-c.off[v-1])
+	}
+	return int(maxDeg)
+}
 
 // Simulator runs a Node program on every vertex of a graph.
 type Simulator struct {
@@ -424,26 +426,13 @@ func (s *Simulator) VertexOfID(id int) int {
 // is sharded by receiver with a deterministic merge in sender-vertex order,
 // so sequential and parallel runs are bit-identical.
 func (s *Simulator) Run(factory func(vertex int) Node) (Stats, error) {
-	// Acquire the engine's recyclable buffer state here so the release is
-	// paired with the acquire on every path out of the run, including an
-	// engine error. Payloads handed to node programs are only valid during
-	// their Round call, so nothing the caller keeps can alias the pooled
-	// memory once run() returns.
-	key := s.scratchLayout(s.g.NumVertices())
-	if pool := s.opts.Scratch; pool != nil {
-		scratch := pool.acquire(key)
-		defer pool.release(scratch)
-		return s.startRun(factory, scratch).run()
-	}
-	scratch := newEngineScratch(key)
-	scratch.reset()
-	return s.startRun(factory, scratch).run()
+	return s.startRun(factory).run()
 }
 
-// startRun builds the node views and the engine for one run on the given
-// (already reset) scratch. Split from Run so the allocation-regression
-// tests can drive the engine's round loop directly under AllocsPerRun.
-func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScratch) *engine {
+// startRun builds the node views and a fresh engine for one run. Split from
+// Run so the allocation-regression tests can drive the engine's round loop
+// directly under AllocsPerRun.
+func (s *Simulator) startRun(factory func(vertex int) Node) *engine {
 	n := s.g.NumVertices()
 	bandwidth := s.opts.bandwidth(n)
 
@@ -452,7 +441,7 @@ func (s *Simulator) startRun(factory func(vertex int) Node, scratch *engineScrat
 		nodes[v] = factory(v)
 	}
 	envs := s.buildEnvs(bandwidth)
-	return newEngine(s, nodes, envs, bandwidth, scratch)
+	return newEngine(s, nodes, envs, bandwidth)
 }
 
 // buildEnvs builds the node-local views of every vertex on flat arenas: one

@@ -59,7 +59,7 @@ type delayedMsg struct {
 
 // shard owns a contiguous vertex range [lo, hi) and all per-shard state.
 // Vertex-indexed slices are shard-local (index v-lo) views of engine-wide
-// scratch arrays.
+// arrays.
 type shard struct {
 	lo, hi int
 	// active lists the shard's non-halted vertices in ascending order.
@@ -184,7 +184,7 @@ type engine struct {
 	deliverFn func(int)
 }
 
-func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *engineScratch) *engine {
+func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int) *engine {
 	n := len(nodes)
 	limit := s.opts.RoundLimit
 	if limit == 0 {
@@ -203,20 +203,8 @@ func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *
 		corrupt:   s.opts.CorruptProb,
 	}
 	e.faulty = e.inj != nil || e.corrupt > 0
-
-	// The shard layout was fixed by the scratch key (see scratchLayout);
-	// whether the buffers came from a pool or a fresh allocation, the engine
-	// code path is identical.
-	e.shardSize = scratch.key.shardSize
-	e.shards = scratch.shards
-	for _, sh := range e.shards {
-		sh.nodes = nodes[sh.lo:sh.hi]
-		sh.envs = envs[sh.lo:sh.hi]
-		sh.down = nil
-		if e.inj != nil {
-			sh.down = scratch.down[sh.lo:sh.hi]
-		}
-	}
+	e.shardSize = s.shardSize(n)
+	e.shards = newShards(nodes, envs, e.shardSize, s.csr.maxDegree(), e.inj != nil)
 
 	nShards := len(e.shards)
 	if s.opts.Parallel && nShards > 1 {
@@ -230,6 +218,67 @@ func newEngine(s *Simulator, nodes []Node, envs []*Env, bandwidth int, scratch *
 	e.sendFn = e.sendShard
 	e.deliverFn = e.deliverShard
 	return e
+}
+
+// shardSize is the engine's sharding rule for a run of n vertices. The shard
+// count is independent of the execution mode (results never depend on it),
+// sized for load balance at roughly 4 shards per worker with a floor of 16
+// vertices per shard.
+func (s *Simulator) shardSize(n int) int {
+	workers := 1
+	if s.opts.Parallel {
+		workers = s.opts.workerCount()
+	}
+	nShards := 4 * workers
+	if cap := (n + 15) / 16; nShards > cap {
+		nShards = cap
+	}
+	if nShards < 1 {
+		nShards = 1
+	}
+	return (n + nShards - 1) / nShards
+}
+
+// newShards partitions the run's vertices into contiguous shards of
+// shardSize with every vertex active. The vertex-indexed flags, outboxes and
+// inboxes are engine-wide arrays that each shard views; down is allocated
+// only when a fault injector can crash nodes.
+func newShards(nodes []Node, envs []*Env, shardSize, maxDeg int, crashes bool) []*shard {
+	n := len(nodes)
+	nShards := (n + shardSize - 1) / shardSize
+	halted := make([]bool, n)
+	dones := make([]bool, n)
+	outs := make([][]Outgoing, n)
+	inboxes := [2][][]Incoming{make([][]Incoming, n), make([][]Incoming, n)}
+	var down []bool
+	if crashes {
+		down = make([]bool, n)
+	}
+	shards := make([]*shard, nShards)
+	for i := range shards {
+		lo := i * shardSize
+		hi := min(lo+shardSize, n)
+		sh := &shard{
+			lo: lo, hi: hi,
+			active:   make([]int32, hi-lo),
+			nodes:    nodes[lo:hi],
+			envs:     envs[lo:hi],
+			routes:   make([][]routedMsg, nShards),
+			portBits: make([]int, maxDeg),
+			halted:   halted[lo:hi],
+			dones:    dones[lo:hi],
+			outs:     outs[lo:hi],
+			inboxes:  [2][][]Incoming{inboxes[0][lo:hi], inboxes[1][lo:hi]},
+		}
+		if down != nil {
+			sh.down = down[lo:hi]
+		}
+		for j := range sh.active {
+			sh.active[j] = int32(lo + j)
+		}
+		shards[i] = sh
+	}
+	return shards
 }
 
 // forEach dispatches one task per shard, on the pool or inline.

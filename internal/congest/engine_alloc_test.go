@@ -39,9 +39,7 @@ func testSteadyAllocs(t *testing.T, opts Options) float64 {
 		t.Fatalf("NewSimulator: %v", err)
 	}
 	nodes := make([]steadyNode, g.NumVertices())
-	scratch := newEngineScratch(sim.scratchLayout(g.NumVertices()))
-	scratch.reset()
-	e := sim.startRun(func(v int) Node { return &nodes[v] }, scratch)
+	e := sim.startRun(func(v int) Node { return &nodes[v] })
 	if e.pool != nil {
 		defer e.pool.close()
 	}

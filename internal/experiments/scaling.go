@@ -19,11 +19,12 @@ import (
 // node states; cmd/bench serializes the result as BENCH_congest.json so
 // successive PRs have a perf trajectory to compare against.
 //
-// Each (family, n, mode) cell runs twice over a shared scratch pool: a
-// warm-up run that grows every buffer to steady-state capacity, then the
-// measured run, bracketed by runtime.MemStats reads. The reported
-// allocs/round and peak-heap columns therefore describe the engine's
-// steady-state memory behavior, not first-run warm-up churn.
+// Each (family, n, mode) cell is one cold run on a fresh Simulator,
+// bracketed by runtime.MemStats reads. The reported allocs/round and
+// peak-heap columns therefore include the run's own buffer growth (inboxes,
+// payload arenas, route buckets growing from empty); the steady-state round
+// loop is pinned at zero allocations by engine_alloc_test.go and
+// node_alloc_test.go instead.
 
 // scalingHeartbeatRounds is the fixed round count of the S1 workload.
 const scalingHeartbeatRounds = 8
@@ -33,7 +34,7 @@ const scalingHeartbeatRounds = 8
 // cost is Θ(rounds · m) and the measurement isolates engine overhead rather
 // than protocol logic. Payload and outbox live inside the node struct, so
 // the workload itself allocates nothing per round — allocs_per_round
-// measures the engine alone.
+// measures the engine alone, buffer growth included.
 type scalingNode struct {
 	rounds int
 	acc    int
@@ -76,11 +77,12 @@ type ScalingRun struct {
 	Bits      int64   `json:"bits"`
 	Bandwidth int     `json:"bandwidth_bits"`
 	WallMS    float64 `json:"wall_ms"`
-	// AllocsPerRound is the heap allocations per round of the measured
-	// (pool-warmed) run; the engine's steady-state target is ~0.
+	// AllocsPerRound is the run's heap allocations divided by its rounds.
+	// The run is cold, so this counts the engine's setup and the growth of
+	// its buffers, not only the steady-state rounds.
 	AllocsPerRound float64 `json:"allocs_per_round"`
-	// PeakHeapMB is the heap in use right after the measured run, before any
-	// GC — an upper-bound proxy for the run's live working set.
+	// PeakHeapMB is the heap in use right after the run, before any GC — an
+	// upper-bound proxy for the run's working set, buffer growth included.
 	PeakHeapMB float64 `json:"peak_heap_mb"`
 	// Checksum digests every node's final accumulator; equal checksums and
 	// stats across modes certify bit-identical execution.
@@ -173,8 +175,7 @@ func ScalingSweepSizes(quick bool, sizes []int) (*ScalingReport, error) {
 }
 
 func scalingOnce(g *graph.Graph, family string, n int, mode string) (ScalingRun, error) {
-	pool := congest.NewScratchPool()
-	opts := congest.Options{Parallel: mode == "par", Scratch: pool}
+	opts := congest.Options{Parallel: mode == "par"}
 	sim, err := congest.NewSimulator(g, opts)
 	if err != nil {
 		return ScalingRun{}, err
@@ -185,14 +186,9 @@ func scalingOnce(g *graph.Graph, family string, n int, mode string) (ScalingRun,
 		return &nodes[v]
 	}
 
-	// Warm-up run: grows the pooled buffers to steady-state capacity.
-	if _, err := sim.Run(factory); err != nil {
-		return ScalingRun{}, err
-	}
-
-	// Measured run, bracketed by MemStats: Mallocs delta / rounds is the
-	// engine's per-round allocation count, and HeapAlloc right after the run
-	// (pre-GC) bounds the live working set.
+	// The run, bracketed by MemStats: Mallocs delta / rounds is the engine's
+	// per-round allocation count, and HeapAlloc right after the run (pre-GC)
+	// bounds the working set.
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -236,7 +232,7 @@ func ScalingTable(rep *ScalingReport) *Table {
 	tab := &Table{
 		ID:     "S1",
 		Title:  "engine scaling: wall time vs n, sequential vs worker pool",
-		Claim:  "the CSR+arena engine handles n = 10^6 across graph families with ~0 allocs/round, and parallel execution is bit-identical to sequential",
+		Claim:  "the CSR+arena engine handles n = 10^6 across graph families in one cold run, and parallel execution is bit-identical to sequential",
 		Header: []string{"family", "n", "edges", "mode", "rounds", "messages", "bits", "wall ms", "allocs/round", "peak heap MB", "match"},
 	}
 	for _, r := range rep.Runs {
@@ -250,7 +246,7 @@ func ScalingTable(rep *ScalingReport) *Table {
 	}
 	tab.Notes = append(tab.Notes,
 		fmt.Sprintf("workload: every node broadcasts 2 bytes/round for %d rounds (cost Θ(rounds·m))", scalingHeartbeatRounds),
-		"each cell is the second of two runs over a shared scratch pool: allocs/round and peak heap describe warmed steady state",
+		"each cell is one cold run: allocs/round and peak heap include the run's buffer growth; engine_alloc_test.go and node_alloc_test.go pin the steady-state round loop at 0 allocations",
 		fmt.Sprintf("GOMAXPROCS=%d; 'match' certifies parallel stats+state == sequential ('-' on the seq baseline rows)", rep.GoMaxProcs))
 	return tab
 }

@@ -258,7 +258,7 @@ func ServeSweep(quick bool) (*ServeReport, error) {
 	}
 
 	// Warmup: every client touches every query type once, populating the
-	// shared caches and the scratch pool.
+	// shared caches.
 	var wg sync.WaitGroup
 	warmup := 0
 	for c := 0; c < clients; c++ {

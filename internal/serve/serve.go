@@ -1,9 +1,10 @@
 // Package serve implements dmcd's HTTP+JSON model-checking service: a
 // long-running daemon answering POST /v1/check queries over a persistent
 // worker pool, with process-lifetime DP caches shared across requests
-// (regular.Shared, one per predicate), recycled CONGEST engine scratch
-// (congest.ScratchPool), bounded-queue admission control, per-request
-// timeouts threaded into the solve loop, and graceful drain.
+// (regular.Shared, one per predicate), bounded-queue admission control,
+// per-request timeouts threaded into the solve loop, and graceful drain.
+// Each solve builds its own CONGEST engine buffers, as a one-shot dmc run
+// does, so the daemon keeps no memory per graph shape it has served.
 //
 // Endpoints:
 //
@@ -12,7 +13,7 @@
 //	GET  /healthz    200 while serving, 503 once draining
 //
 // Every answer is bit-identical to a one-shot dmc run of the same query:
-// shared caches and scratch pooling only save work, never change results.
+// the shared caches only save work, never change results.
 package serve
 
 import (
@@ -201,7 +202,6 @@ type Server struct {
 	drainCh chan struct{}
 	drainMu sync.Mutex
 	drained bool
-	scratch *congest.ScratchPool
 
 	mu     sync.Mutex
 	caches map[source]*cacheEntry
@@ -223,7 +223,6 @@ func New(opts Options) *Server {
 		start:   time.Now(),
 		sem:     make(chan struct{}, o.MaxConcurrent),
 		drainCh: make(chan struct{}),
-		scratch: congest.NewScratchPool(),
 		caches:  make(map[source]*cacheEntry),
 	}
 }
@@ -434,7 +433,6 @@ func (s *Server) solve(ctx context.Context, req *CheckRequest) (*CheckResponse, 
 			Parallel: parallel,
 			Workers:  workers,
 			Context:  ctx,
-			Scratch:  s.scratch,
 		},
 	}
 	if req.Faults != nil && req.Faults.Enabled {
@@ -510,7 +508,6 @@ type StatsResponse struct {
 	Timeouts     int64       `json:"timeouts"` // 504s
 	InFlight     int64       `json:"in_flight"`
 	Queued       int64       `json:"queued"`
-	ScratchIdle  int         `json:"scratch_idle"` // pooled engine scratch buffers
 	Caches       []CacheInfo `json:"caches"`
 }
 
@@ -532,7 +529,6 @@ func (s *Server) Stats() StatsResponse {
 		Timeouts:     s.nTimeout.Load(),
 		InFlight:     inFlight,
 		Queued:       queued,
-		ScratchIdle:  s.scratch.Idle(),
 	}
 	s.mu.Lock()
 	keys := make([]string, 0, len(s.caches))
