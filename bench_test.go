@@ -89,7 +89,7 @@ func BenchmarkDistributedDecideAcyclic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := protocols.Decide(g, 3, predicates.Acyclicity{}, congest.Options{})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 3}, congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkDistributedDecideAcyclicTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var m congest.MetricsTracer
-		res, err := protocols.Decide(g, 3, predicates.Acyclicity{}, congest.Options{Tracer: &m})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 3}, congest.Options{Tracer: &m})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func BenchmarkDistributedOptimizeMST(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := protocols.Optimize(g, 2, predicates.SpanningTree{}, false, congest.Options{})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeOptimize, D: 2}, congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkDistributedCountTriangles(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := protocols.Count(g, 3, predicates.Triangles{}, congest.Options{}); err != nil {
+		if _, err := protocols.Run(g, protocols.Config{Pred: predicates.Triangles{}, Mode: protocols.ModeCount, D: 3}, congest.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkElimTreeConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := protocols.Decide(g, 3, predicates.Connectivity{}, congest.Options{})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Connectivity{}, Mode: protocols.ModeDecide, D: 3}, congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,8 +26,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -38,25 +40,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	quick := flag.Bool("quick", false, "smaller sweeps")
-	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
-	csv := flag.Bool("csv", false, "CSV output")
-	scalingOut := flag.String("scaling-out", "", "write the S1 scaling report as JSON to this path")
-	scalingSizes := flag.String("scaling-sizes", "", "comma-separated n values for the S1 sweep (default: the built-in sizes)")
-	dpOut := flag.String("dp-out", "", "write the S2 DP-algebra report as JSON to this path")
-	faultsOut := flag.String("faults-out", "", "write the S3 fault-injection report as JSON to this path")
-	serveOut := flag.String("serve-out", "", "write the S4 dmcd load-test report as JSON to this path")
-	tdOut := flag.String("td-out", "", "write the S6 exact-treedepth report as JSON to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected sweeps to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile (taken after all sweeps) to this path")
-	flag.Parse()
+// run is the whole command with its arguments and table output injected, so
+// tests can drive it in-process.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "smaller sweeps")
+	only := fs.String("only", "", "comma-separated experiment IDs (default: all)")
+	csv := fs.Bool("csv", false, "CSV output")
+	scalingOut := fs.String("scaling-out", "", "write the S1 scaling report as JSON to this path")
+	scalingSizes := fs.String("scaling-sizes", "", "comma-separated n values for the S1 sweep (default: the built-in sizes)")
+	dpOut := fs.String("dp-out", "", "write the S2 DP-algebra report as JSON to this path")
+	faultsOut := fs.String("faults-out", "", "write the S3 fault-injection report as JSON to this path")
+	tdOut := fs.String("td-out", "", "write the S6 exact-treedepth report as JSON to this path")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected sweeps to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile (taken after all sweeps) to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -102,11 +108,12 @@ func run() error {
 	}
 
 	// When a JSON report is requested, run that sweep exactly once and reuse
-	// the measurements for both outputs.
+	// the measurements for both outputs. S1 also runs here when its sizes
+	// are given, so the table shows the requested sweep.
 	var scalingRep *experiments.ScalingReport
-	if *scalingOut != "" {
+	if *scalingOut != "" || sizes != nil {
 		rep, err := experiments.ScalingSweepSizes(*quick, sizes)
-		if rep != nil {
+		if rep != nil && *scalingOut != "" {
 			// Write the report even on divergence so the artifact shows which
 			// runs failed; the error still fails the command.
 			if werr := writeJSON(*scalingOut, rep); werr != nil && err == nil {
@@ -148,21 +155,6 @@ func run() error {
 		}
 		faultsRep = rep
 	}
-	var serveRep *experiments.ServeReport
-	if *serveOut != "" {
-		rep, err := experiments.ServeSweep(*quick)
-		if rep != nil {
-			// Write the report even on divergence so the artifact shows which
-			// runs failed; the error still fails the command.
-			if werr := writeJSON(*serveOut, rep); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if err != nil {
-			return err
-		}
-		serveRep = rep
-	}
 	var tdRep *experiments.TDReport
 	if *tdOut != "" {
 		rep, err := experiments.TDSweep(*quick)
@@ -203,8 +195,6 @@ func run() error {
 			tab = experiments.DPTable(dpRep)
 		case e.ID == "S3" && faultsRep != nil:
 			tab = experiments.FaultTable(faultsRep)
-		case e.ID == "S4" && serveRep != nil:
-			tab = experiments.ServeTable(serveRep)
 		case e.ID == "S6" && tdRep != nil:
 			tab = experiments.TDTable(tdRep)
 		default:
@@ -214,10 +204,10 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if *csv {
-			fmt.Printf("# %s\n%s\n", e.ID, tab.CSV())
+			fmt.Fprintf(stdout, "# %s\n%s\n", e.ID, tab.CSV())
 		} else {
-			fmt.Println(tab.Render())
-			fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintln(stdout, tab.Render())
+			fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return nil

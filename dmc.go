@@ -15,14 +15,18 @@
 // for ground truth), hand-compiled regular predicates (package predicates,
 // fast), and the generic MSO compiler (package msoauto). All three plug into
 // the same sequential Algorithm 1 driver and the same distributed protocol.
+//
+// The facade is a thin layer over core.Request: Check, Optimize, Count,
+// CheckMarked and CheckFormula each build a request whose problem returns
+// the caller's predicate and run it through core.Solve, the entry point
+// cmd/dmc and the dmcd daemon use too. core.Solve validates the request, so
+// an Options.D below 1 is an error.
 package dmc
 
 import (
-	"fmt"
-
-	"repro/internal/bitset"
 	"repro/internal/certify"
 	"repro/internal/congest"
+	"repro/internal/core"
 	"repro/internal/expansion"
 	"repro/internal/graph"
 	"repro/internal/mso"
@@ -65,67 +69,42 @@ func (o Options) congest() congest.Options {
 // Stats is the CONGEST cost of a run.
 type Stats = congest.Stats
 
-// Result is the outcome of a distributed run.
-type Result struct {
-	// TdExceeded reports "large treedepth": td(G) > D (Theorem 6.1's second
-	// outcome). All other fields are meaningless when set.
-	TdExceeded bool
-	// Accepted is the decision/verification verdict.
-	Accepted bool
-	// Found/Weight/Selected describe the optimization outcome; Selected
-	// holds vertex indices or edge IDs depending on the predicate kind.
-	Found         bool
-	Weight        int64
-	Selected      *bitset.Set
-	SelectedEdges *bitset.Set
-	// Count is the counting outcome.
-	Count int64
-	// Stats is the CONGEST cost (rounds, messages, bits, max message size).
-	Stats Stats
+// Result is the outcome of a distributed run: TdExceeded reports "large
+// treedepth" (td(G) > D, Theorem 6.1's second outcome; all other fields are
+// meaningless when set), Accepted the decision/verification verdict,
+// Found/Weight/Selected the optimum (vertex indices or edge IDs, per the
+// predicate's kind), Count the counting outcome, and Stats the CONGEST cost.
+type Result = core.Solution
+
+// problem wraps the caller's predicate as a core problem of the given kind.
+func problem(pred Predicate, kind core.Kind) core.Problem {
+	return core.Problem{Kind: kind, Build: func() (regular.Predicate, error) { return pred, nil }}
 }
 
-func fromRun(r *protocols.RunResult) *Result {
-	return &Result{
-		TdExceeded:    r.TdExceeded,
-		Accepted:      r.Accepted,
-		Found:         r.Found,
-		Weight:        r.Weight,
-		Selected:      r.Selected,
-		SelectedEdges: r.SelectedEdges,
-		Count:         r.Count,
-		Stats:         r.Stats,
-	}
+// solve runs prob through core.Solve, the one entry point to a Theorem 6.1
+// run.
+func solve(g *Graph, prob core.Problem, opts Options) (*Result, error) {
+	prob.Maximize = opts.Maximize
+	return core.Solve(core.Request{Graph: g, Problem: prob, D: opts.D, Options: opts.congest()})
 }
 
 // Check decides a closed predicate on g in O(2^2d) CONGEST rounds
 // (Theorem 6.1, decision).
 func Check(g *Graph, pred Predicate, opts Options) (*Result, error) {
-	r, err := protocols.Decide(g, opts.D, pred, opts.congest())
-	if err != nil {
-		return nil, err
-	}
-	return fromRun(r), nil
+	return solve(g, problem(pred, core.KindDecision), opts)
 }
 
 // Optimize solves maxφ/minφ for a predicate with a free set variable and
 // selects an optimal solution (each node learns its membership); Theorem
 // 6.1, optimization.
 func Optimize(g *Graph, pred Predicate, opts Options) (*Result, error) {
-	r, err := protocols.Optimize(g, opts.D, pred, opts.Maximize, opts.congest())
-	if err != nil {
-		return nil, err
-	}
-	return fromRun(r), nil
+	return solve(g, problem(pred, core.KindOptimization), opts)
 }
 
 // Count counts the satisfying assignments of the predicate's free set
 // variable (Section 6, counting).
 func Count(g *Graph, pred Predicate, opts Options) (*Result, error) {
-	r, err := protocols.Count(g, opts.D, pred, opts.congest())
-	if err != nil {
-		return nil, err
-	}
-	return fromRun(r), nil
+	return solve(g, problem(pred, core.KindCounting), opts)
 }
 
 // MarkLabel is the label naming the marked set for CheckMarked.
@@ -134,25 +113,17 @@ const MarkLabel = protocols.MarkLabel
 // CheckMarked solves optmarkedφ (Section 6): is the set marked with
 // MarkLabel an optimal solution of the predicate?
 func CheckMarked(g *Graph, pred Predicate, opts Options) (*Result, error) {
-	r, err := protocols.CheckMarked(g, opts.D, pred, opts.Maximize, opts.congest())
-	if err != nil {
-		return nil, err
-	}
-	return fromRun(r), nil
+	return solve(g, problem(pred, core.KindCheckMarked), opts)
 }
 
 // CheckFormula parses a closed MSO formula in the textual syntax of
 // internal/mso and decides it via the generic engine.
 func CheckFormula(g *Graph, formula string, opts Options) (*Result, error) {
-	f, err := mso.Parse(formula)
+	prob, err := core.ProblemFor("", formula)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := msoauto.New(f, msoauto.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return Check(g, engine, opts)
+	return solve(g, prob, opts)
 }
 
 // CompileFormula compiles an MSO formula (optionally with a free set
@@ -252,12 +223,4 @@ func VerifyCertificates(g *Graph, d int, pred Predicate, certs []Certificate) (b
 // checks) and reports the verdict with the exchange's round cost.
 func VerifyCertificatesDistributed(g *Graph, d int, pred Predicate, certs []Certificate) (bool, Stats, error) {
 	return certify.VerifyDistributed(g, d, pred, certs, congest.Options{})
-}
-
-// Validate sanity-checks an Options value.
-func (o Options) Validate() error {
-	if o.D < 1 {
-		return fmt.Errorf("dmc: Options.D must be >= 1, got %d", o.D)
-	}
-	return nil
 }

@@ -1,12 +1,17 @@
 package dmc_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	dmc "repro"
+	"repro/internal/congest"
+	"repro/internal/core"
 	"repro/internal/graph/gen"
 	"repro/internal/mso"
 	"repro/internal/mso/msolib"
+	"repro/internal/protocols"
 )
 
 func TestCheckFormulaQuick(t *testing.T) {
@@ -133,12 +138,89 @@ func TestFacadeTdExceeded(t *testing.T) {
 	}
 }
 
+// TestOptionsValidate: the facade's Options are validated by core.Solve, so
+// every entry point rejects D < 1 instead of running.
 func TestOptionsValidate(t *testing.T) {
-	if err := (dmc.Options{}).Validate(); err == nil {
-		t.Fatal("D = 0 should fail validation")
+	g := gen.Path(4)
+	calls := map[string]func(dmc.Options) (*dmc.Result, error){
+		"Check":       func(o dmc.Options) (*dmc.Result, error) { return dmc.Check(g, dmc.Acyclic(), o) },
+		"Optimize":    func(o dmc.Options) (*dmc.Result, error) { return dmc.Optimize(g, dmc.IndependentSet(), o) },
+		"Count":       func(o dmc.Options) (*dmc.Result, error) { return dmc.Count(g, dmc.Triangles(), o) },
+		"CheckMarked": func(o dmc.Options) (*dmc.Result, error) { return dmc.CheckMarked(g, dmc.IndependentSet(), o) },
+		"CheckFormula": func(o dmc.Options) (*dmc.Result, error) {
+			return dmc.CheckFormula(g, "exists x:V . x = x", o)
+		},
 	}
-	if err := (dmc.Options{D: 2}).Validate(); err != nil {
+	for name, call := range calls {
+		if res, err := call(dmc.Options{}); err == nil {
+			t.Errorf("%s with D = 0: got %+v, want an error", name, res)
+		}
+		if _, err := call(dmc.Options{D: 2}); err != nil {
+			t.Errorf("%s with D = 2: %v", name, err)
+		}
+	}
+}
+
+// TestFacadeMatchesProtocolRun: each facade entry point returns the answer
+// and CONGEST cost of protocols.Run with the same Config.
+func TestFacadeMatchesProtocolRun(t *testing.T) {
+	const triangleFree = "~ exists x:V, y:V, z:V . adj(x,y) & adj(y,z) & adj(z,x)"
+	formula, err := core.CompileClosedFormula(triangleFree)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for gi, seed := range []int64{42, 5} {
+		g, _ := gen.BoundedTreedepth(18, 3, 0.4, seed)
+		gen.AssignRandomWeights(g, 9, seed+1)
+		marked := g.Clone()
+		for v := 0; v < g.NumVertices(); v += 3 {
+			marked.SetVertexLabel(dmc.MarkLabel, v)
+		}
+		opts := dmc.Options{D: 3, IDSeed: 7}
+		maxOpts := opts
+		maxOpts.Maximize = true
+		cases := []struct {
+			name   string
+			facade func() (*dmc.Result, error)
+			g      *dmc.Graph
+			cfg    protocols.Config
+		}{
+			{"check", func() (*dmc.Result, error) { return dmc.Check(g, dmc.Connected(), opts) },
+				g, protocols.Config{Pred: dmc.Connected(), Mode: protocols.ModeDecide}},
+			{"optimize-vertices", func() (*dmc.Result, error) { return dmc.Optimize(g, dmc.IndependentSet(), maxOpts) },
+				g, protocols.Config{Pred: dmc.IndependentSet(), Mode: protocols.ModeOptimize, Maximize: true}},
+			{"optimize-edges", func() (*dmc.Result, error) { return dmc.Optimize(g, dmc.SpanningTree(), opts) },
+				g, protocols.Config{Pred: dmc.SpanningTree(), Mode: protocols.ModeOptimize}},
+			{"count", func() (*dmc.Result, error) { return dmc.Count(g, dmc.Triangles(), opts) },
+				g, protocols.Config{Pred: dmc.Triangles(), Mode: protocols.ModeCount}},
+			{"check-marked", func() (*dmc.Result, error) { return dmc.CheckMarked(marked, dmc.IndependentSet(), maxOpts) },
+				marked, protocols.Config{Pred: dmc.IndependentSet(), Mode: protocols.ModeCheckMarked, Maximize: true}},
+			{"check-formula", func() (*dmc.Result, error) { return dmc.CheckFormula(g, triangleFree, opts) },
+				g, protocols.Config{Pred: formula, Mode: protocols.ModeDecide}},
+		}
+		for _, tc := range cases {
+			label := fmt.Sprintf("graph %d %s", gi, tc.name)
+			got, err := tc.facade()
+			if err != nil {
+				t.Fatalf("%s: facade: %v", label, err)
+			}
+			tc.cfg.D = opts.D
+			want, err := protocols.Run(tc.g, tc.cfg, congest.Options{IDSeed: opts.IDSeed})
+			if err != nil {
+				t.Fatalf("%s: protocols.Run: %v", label, err)
+			}
+			wantSel := want.Selected
+			if wantSel == nil {
+				wantSel = want.SelectedEdges
+			}
+			if got.TdExceeded != want.TdExceeded || got.Accepted != want.Accepted || got.Found != want.Found ||
+				got.Weight != want.Weight || got.Count != want.Count || !reflect.DeepEqual(got.Selected, wantSel) {
+				t.Fatalf("%s: facade answer %+v, protocols.Run %+v", label, got, want)
+			}
+			if got.Stats != want.Stats {
+				t.Fatalf("%s: facade stats %+v, protocols.Run %+v", label, got.Stats, want.Stats)
+			}
+		}
 	}
 }
 

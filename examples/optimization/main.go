@@ -56,7 +56,7 @@ func main() {
 		log.Fatal("no spanning tree (network disconnected?)")
 	}
 	fmt.Printf("backbone (minimum spanning tree, cost %d, %d rounds):\n", mst.Weight, mst.Stats.Rounds)
-	mst.SelectedEdges.ForEach(func(id int) {
+	mst.Selected.ForEach(func(id int) {
 		e := g.Edge(id)
 		fmt.Printf("  link s%d - s%d (cost %d)\n", e.U, e.V, g.EdgeWeight(id))
 	})

@@ -35,6 +35,10 @@ const (
 	KindDecision Kind = iota + 1
 	KindOptimization
 	KindCounting
+	// KindCheckMarked is optmarked (Section 6): is the set marked with
+	// protocols.MarkLabel optimal? It has no sequential run and no
+	// registered problem; the root facade's CheckMarked uses it.
+	KindCheckMarked
 )
 
 // Problem is a registered, named problem instance.
@@ -239,6 +243,8 @@ func (p Problem) Mode() (protocols.Mode, error) {
 		return protocols.ModeOptimize, nil
 	case KindCounting:
 		return protocols.ModeCount, nil
+	case KindCheckMarked:
+		return protocols.ModeCheckMarked, nil
 	}
 	return 0, fmt.Errorf("core: problem %q has unknown kind %d", p.Name, p.Kind)
 }
@@ -312,6 +318,8 @@ func (r Request) Validate() error {
 	switch {
 	case r.Problem.Build == nil:
 		return fieldErr([]string{"problem", "formula"}, "need %s or %s")
+	case r.Sequential && r.Problem.Kind == KindCheckMarked:
+		return fieldErr([]string{"problem"}, "%s: optmarked runs only as the CONGEST protocol, not sequentially")
 	case o.Workers < 0:
 		return fieldErr([]string{"workers"}, "%s must be >= 0, got %d", o.Workers)
 	case r.D < 0 || (r.D == 0 && !r.Sequential):

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph/gen"
 	"repro/internal/protocols"
 	"repro/internal/regular"
+	"repro/internal/regular/predicates"
 	"repro/internal/treedepth"
 )
 
@@ -138,6 +139,8 @@ func TestValidateRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := faults.Config{DropRate: 0.1}
+	marked := Problem{Name: "marked-is", Kind: KindCheckMarked, Maximize: true,
+		Build: func() (regular.Predicate, error) { return predicates.IndependentSet{}, nil }}
 	cases := []struct {
 		name  string
 		req   Request
@@ -156,6 +159,8 @@ func TestValidateRules(t *testing.T) {
 		{"dist-live-and-injector", Request{Problem: prob, D: 3, Faults: live, Options: congest.Options{Injector: faults.New(live)}}, "faults"},
 		{"dist-injector-alone", Request{Problem: prob, D: 3, Options: congest.Options{Injector: faults.New(live)}, Reliable: &protocols.ReliableConfig{}}, ""},
 		{"dist-workers-without-parallel", Request{Problem: prob, D: 3, Options: congest.Options{Workers: 2}}, ""},
+		{"seq-optmarked", Request{Problem: marked, Sequential: true}, "problem"},
+		{"dist-optmarked", Request{Problem: marked, D: 3}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.req.Validate()

@@ -154,7 +154,7 @@ func HFreeDistributed(g, h *graph.Graph, degCap int, opts congest.Options) (*HFr
 			compG, _ := sub.InducedSubgraph(comp)
 			d := p
 			for {
-				run, err := protocols.Decide(compG, d, pred, opts)
+				run, err := protocols.Run(compG, protocols.Config{Pred: pred, Mode: protocols.ModeDecide, D: d}, opts)
 				if err != nil {
 					return nil, err
 				}

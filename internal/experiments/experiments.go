@@ -105,7 +105,6 @@ func All() []Experiment {
 		{"S1", S1Scaling},
 		{"S2", S2DP},
 		{"S3", S3Faults},
-		{"S4", S4Serve},
 		{"S6", S6TD},
 	}
 }

@@ -126,7 +126,7 @@ func FaultSweep(quick bool) (*FaultReport, error) {
 	pred := predicates.Connectivity{}
 	for _, fam := range faultFamilies(quick) {
 		g, _ := gen.BoundedTreedepth(fam.n, fam.d, fam.extraProb, fam.seed)
-		base, err := protocols.Decide(g, fam.d, pred, congest.Options{})
+		base, err := protocols.Run(g, protocols.Config{Pred: pred, Mode: protocols.ModeDecide, D: fam.d}, congest.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("faults %s: fault-free baseline: %w", fam.name, err)
 		}

@@ -27,11 +27,11 @@ func F1MessageWidth(quick bool) (*Table, error) {
 	for _, n := range sizes {
 		g, _ := gen.BoundedTreedepth(n, 2, 0.2, int64(n)*5)
 		gen.AssignRandomWeights(g, 100, int64(n)*11)
-		dec, err := protocols.Decide(g, 2, predicates.Acyclicity{}, congest.Options{IDSeed: 7})
+		dec, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{IDSeed: 7})
 		if err != nil {
 			return nil, fmt.Errorf("F1 n=%d: %w", n, err)
 		}
-		opt, err := protocols.Optimize(g, 2, predicates.IndependentSet{}, true, congest.Options{IDSeed: 7})
+		opt, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 2, Maximize: true}, congest.Options{IDSeed: 7})
 		if err != nil {
 			return nil, fmt.Errorf("F1 n=%d opt: %w", n, err)
 		}
@@ -64,7 +64,7 @@ func F2BaselineCrossover(quick bool) (*Table, error) {
 		g := gen.Caterpillar(spine, 2)
 		n := g.NumVertices()
 		d := int(math.Ceil(math.Log2(float64(spine+1)))) + 1
-		res, err := protocols.Decide(g, d, predicates.Acyclicity{}, congest.Options{IDSeed: 8})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, congest.Options{IDSeed: 8})
 		if err != nil {
 			return nil, fmt.Errorf("F2 spine=%d: %w", spine, err)
 		}
@@ -105,7 +105,7 @@ func F3ElimTree(quick bool) (*Table, error) {
 	}
 	for _, job := range jobs {
 		g, _ := gen.BoundedTreedepth(job.n, job.d, 0.2, int64(job.n*job.d))
-		res, err := protocols.Decide(g, job.d, predicates.Acyclicity{}, congest.Options{IDSeed: 9})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: job.d}, congest.Options{IDSeed: 9})
 		if err != nil {
 			return nil, fmt.Errorf("F3 n=%d d=%d: %w", job.n, job.d, err)
 		}

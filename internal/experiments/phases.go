@@ -32,12 +32,12 @@ func T8PhaseBreakdown(quick bool) (*Table, error) {
 	}{
 		{"acyclic (decide)", func(m *congest.MetricsTracer) (*protocols.RunResult, error) {
 			g, _ := gen.BoundedTreedepth(n, d, 0.1, 11)
-			return protocols.Decide(g, d, predicates.Acyclicity{}, congest.Options{IDSeed: 1, Tracer: m})
+			return protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, congest.Options{IDSeed: 1, Tracer: m})
 		}},
 		{"max-IS (optimize)", func(m *congest.MetricsTracer) (*protocols.RunResult, error) {
 			g, _ := gen.BoundedTreedepth(n/2, d, 0.1, 12)
 			gen.AssignRandomWeights(g, 10, 13)
-			return protocols.Optimize(g, d, predicates.IndependentSet{}, true, congest.Options{IDSeed: 1, Tracer: m})
+			return protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: d, Maximize: true}, congest.Options{IDSeed: 1, Tracer: m})
 		}},
 	}
 	for _, r := range runs {

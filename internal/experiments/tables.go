@@ -35,11 +35,11 @@ func T1DecisionRoundsVsN(quick bool) (*Table, error) {
 	const d = 3
 	for _, n := range sizesT1(quick) {
 		g, _ := gen.BoundedTreedepth(n, d, 0.1, int64(n))
-		acy, err := protocols.Decide(g, d, predicates.Acyclicity{}, congest.Options{IDSeed: 1})
+		acy, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, congest.Options{IDSeed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("T1 n=%d: %w", n, err)
 		}
-		col, err := protocols.Decide(g, d, predicates.KColorability{K: 2}, congest.Options{IDSeed: 1})
+		col, err := protocols.Run(g, protocols.Config{Pred: predicates.KColorability{K: 2}, Mode: protocols.ModeDecide, D: d}, congest.Options{IDSeed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("T1 n=%d: %w", n, err)
 		}
@@ -71,7 +71,7 @@ func T2RoundsVsDepth(quick bool) (*Table, error) {
 	}
 	for d := 2; d <= 6; d++ {
 		g, _ := gen.BoundedTreedepth(n, d, 0.1, int64(100+d))
-		res, err := protocols.Decide(g, d, predicates.Acyclicity{}, congest.Options{IDSeed: 2})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, congest.Options{IDSeed: 2})
 		if err != nil {
 			return nil, fmt.Errorf("T2 d=%d: %w", d, err)
 		}
@@ -119,7 +119,7 @@ func T3Optimization(quick bool) (*Table, error) {
 		for _, size := range []int{oracleN, n} {
 			g, _ := gen.BoundedTreedepth(size, 2, 0.4, int64(size)*7)
 			gen.AssignRandomWeights(g, 10, int64(size)*13)
-			dist, err := protocols.Optimize(g, 2, prob.pred, prob.maximize, congest.Options{IDSeed: 3})
+			dist, err := protocols.Run(g, protocols.Config{Pred: prob.pred, Mode: protocols.ModeOptimize, D: 2, Maximize: prob.maximize}, congest.Options{IDSeed: 3})
 			if err != nil {
 				return nil, fmt.Errorf("T3 %s n=%d: %w", prob.name, size, err)
 			}

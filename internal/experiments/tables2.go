@@ -33,7 +33,7 @@ func T4Counting(quick bool) (*Table, error) {
 	}
 	for _, n := range sizes {
 		g, _ := gen.BoundedTreedepth(n, 3, 0.5, int64(n)*3)
-		res, err := protocols.Count(g, 3, predicates.Triangles{}, congest.Options{IDSeed: 4})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Triangles{}, Mode: protocols.ModeCount, D: 3}, congest.Options{IDSeed: 4})
 		if err != nil {
 			return nil, fmt.Errorf("T4 triangles n=%d: %w", n, err)
 		}
@@ -52,7 +52,7 @@ func T4Counting(quick bool) (*Table, error) {
 	// Perfect matchings on even cycles: exactly 2.
 	for _, n := range []int{6, 10} {
 		g := gen.Cycle(n)
-		res, err := protocols.Count(g, 4, predicates.Matching{Perfect: true}, congest.Options{IDSeed: 4})
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Matching{Perfect: true}, Mode: protocols.ModeCount, D: 4}, congest.Options{IDSeed: 4})
 		if err != nil {
 			return nil, fmt.Errorf("T4 pm n=%d: %w", n, err)
 		}
@@ -77,20 +77,20 @@ func T5OptMarked(quick bool) (*Table, error) {
 	// Max independent set: mark the distributed optimum, then perturb.
 	g, _ := gen.BoundedTreedepth(n, 2, 0.4, 99)
 	gen.AssignRandomWeights(g, 5, 98)
-	opt, err := protocols.Optimize(g, 2, predicates.IndependentSet{}, true, congest.Options{IDSeed: 5})
+	opt, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 2, Maximize: true}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
 	good := g.Clone()
 	opt.Selected.ForEach(func(v int) { good.SetVertexLabel(protocols.MarkLabel, v) })
-	res, err := protocols.CheckMarked(good, 2, predicates.IndependentSet{}, true, congest.Options{IDSeed: 5})
+	res, err := protocols.Run(good, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeCheckMarked, D: 2, Maximize: true}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("max-independent-set", "the optimum", res.Accepted, true, res.Accepted == true)
 
 	empty := g.Clone() // the empty set is independent but (weights >= 1) not maximum
-	res, err = protocols.CheckMarked(empty, 2, predicates.IndependentSet{}, true, congest.Options{IDSeed: 5})
+	res, err = protocols.Run(empty, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeCheckMarked, D: 2, Maximize: true}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
@@ -100,27 +100,27 @@ func T5OptMarked(quick bool) (*Table, error) {
 	e := invalid.Edge(0)
 	invalid.SetVertexLabel(protocols.MarkLabel, e.U)
 	invalid.SetVertexLabel(protocols.MarkLabel, e.V)
-	res, err = protocols.CheckMarked(invalid, 2, predicates.IndependentSet{}, true, congest.Options{IDSeed: 5})
+	res, err = protocols.Run(invalid, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeCheckMarked, D: 2, Maximize: true}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("max-independent-set", "adjacent pair", res.Accepted, false, res.Accepted == false)
 
 	// MST: mark the distributed MST, then swap in a heavier edge.
-	mst, err := protocols.Optimize(g, 2, predicates.SpanningTree{}, false, congest.Options{IDSeed: 5})
+	mst, err := protocols.Run(g, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeOptimize, D: 2}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
 	goodT := g.Clone()
 	mst.SelectedEdges.ForEach(func(id int) { goodT.SetEdgeLabel(protocols.MarkLabel, id) })
-	res, err = protocols.CheckMarked(goodT, 2, predicates.SpanningTree{}, false, congest.Options{IDSeed: 5})
+	res, err = protocols.Run(goodT, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeCheckMarked, D: 2}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("mst", "the MST", res.Accepted, true, res.Accepted == true)
 
 	noneT := g.Clone()
-	res, err = protocols.CheckMarked(noneT, 2, predicates.SpanningTree{}, false, congest.Options{IDSeed: 5})
+	res, err = protocols.Run(noneT, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeCheckMarked, D: 2}, congest.Options{IDSeed: 5})
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func TestDifferentialDecideVsSequential(t *testing.T) {
 				t.Fatalf("%s/%s: oracle decide: %v", tc.name, p.name, err)
 			}
 			for _, seed := range idSeeds(i) {
-				res, err := protocols.Decide(tc.g, tc.d, p.pred, congest.Options{IDSeed: seed})
+				res, err := protocols.Run(tc.g, protocols.Config{Pred: p.pred, Mode: protocols.ModeDecide, D: tc.d}, congest.Options{IDSeed: seed})
 				if err != nil {
 					t.Fatalf("%s/%s seed=%d: %v", tc.name, p.name, seed, err)
 				}
@@ -110,7 +110,7 @@ func TestDifferentialOptimizeVsSequential(t *testing.T) {
 				t.Fatalf("%s/%s: oracle optimize: %v", tc.name, p.name, err)
 			}
 			for _, seed := range idSeeds(i) {
-				res, err := protocols.Optimize(tc.g, tc.d, p.pred, p.maximize, congest.Options{IDSeed: seed})
+				res, err := protocols.Run(tc.g, protocols.Config{Pred: p.pred, Mode: protocols.ModeOptimize, D: tc.d, Maximize: p.maximize}, congest.Options{IDSeed: seed})
 				if err != nil {
 					t.Fatalf("%s/%s seed=%d: %v", tc.name, p.name, seed, err)
 				}
@@ -144,7 +144,7 @@ func TestDifferentialCountVsSequential(t *testing.T) {
 			t.Fatalf("%s: oracle count: %v", tc.name, err)
 		}
 		for _, seed := range idSeeds(i) {
-			res, err := protocols.Count(tc.g, tc.d, predicates.Triangles{}, congest.Options{IDSeed: seed})
+			res, err := protocols.Run(tc.g, protocols.Config{Pred: predicates.Triangles{}, Mode: protocols.ModeCount, D: tc.d}, congest.Options{IDSeed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", tc.name, seed, err)
 			}

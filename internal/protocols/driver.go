@@ -225,24 +225,3 @@ func AssembleResult(g *graph.Graph, cfg Config, ids []int, outputs []Output) (*R
 	}
 	return res, nil
 }
-
-// Decide runs the distributed decision protocol for a closed predicate.
-func Decide(g *graph.Graph, d int, pred regular.Predicate, opts congest.Options) (*RunResult, error) {
-	return Run(g, Config{Pred: pred, Mode: ModeDecide, D: d}, opts)
-}
-
-// Optimize runs the distributed maxφ/minφ protocol with solution selection.
-func Optimize(g *graph.Graph, d int, pred regular.Predicate, maximize bool, opts congest.Options) (*RunResult, error) {
-	return Run(g, Config{Pred: pred, Mode: ModeOptimize, D: d, Maximize: maximize}, opts)
-}
-
-// Count runs the distributed counting protocol.
-func Count(g *graph.Graph, d int, pred regular.Predicate, opts congest.Options) (*RunResult, error) {
-	return Run(g, Config{Pred: pred, Mode: ModeCount, D: d}, opts)
-}
-
-// CheckMarked runs the distributed optmarked protocol: the marked set is
-// given by the MarkLabel vertex/edge labels of g.
-func CheckMarked(g *graph.Graph, d int, pred regular.Predicate, maximize bool, opts congest.Options) (*RunResult, error) {
-	return Run(g, Config{Pred: pred, Mode: ModeCheckMarked, D: d, Maximize: maximize}, opts)
-}

@@ -37,7 +37,7 @@ func TestQuietSchedulePreservesGoldenDPTrace(t *testing.T) {
 			Tracer:   tracer,
 			Injector: faults.New(faults.Config{Seed: seed, ReorderWindow: int(seed % 17)}),
 		}
-		if _, err := protocols.Decide(g, 2, predicates.Connectivity{}, opts); err != nil {
+		if _, err := protocols.Run(g, protocols.Config{Pred: predicates.Connectivity{}, Mode: protocols.ModeDecide, D: 2}, opts); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := tracer.Err(); err != nil {
@@ -63,7 +63,7 @@ func TestQuickCheckQuietScheduleTransparency(t *testing.T) {
 		t.Helper()
 		var buf bytes.Buffer
 		tracer := congest.NewNDJSONTracer(&buf)
-		res, err := protocols.Decide(g, 2, predicates.Acyclicity{}, congest.Options{
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{
 			IDSeed: 5, Tracer: tracer, Injector: inj,
 		})
 		if err != nil {

@@ -33,19 +33,19 @@ func TestGoldenDPTraces(t *testing.T) {
 		run  func(opts congest.Options) error
 	}{
 		{"decide_connected", func(opts congest.Options) error {
-			_, err := protocols.Decide(g, 2, predicates.Connectivity{}, opts)
+			_, err := protocols.Run(g, protocols.Config{Pred: predicates.Connectivity{}, Mode: protocols.ModeDecide, D: 2}, opts)
 			return err
 		}},
 		{"opt_indset", func(opts congest.Options) error {
-			_, err := protocols.Optimize(g, 2, predicates.IndependentSet{}, true, opts)
+			_, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 2, Maximize: true}, opts)
 			return err
 		}},
 		{"count_matching", func(opts congest.Options) error {
-			_, err := protocols.Count(g, 2, predicates.Matching{}, opts)
+			_, err := protocols.Run(g, protocols.Config{Pred: predicates.Matching{}, Mode: protocols.ModeCount, D: 2}, opts)
 			return err
 		}},
 		{"checkmarked_indset", func(opts congest.Options) error {
-			_, err := protocols.CheckMarked(marked, 2, predicates.IndependentSet{}, true, opts)
+			_, err := protocols.Run(marked, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeCheckMarked, D: 2, Maximize: true}, opts)
 			return err
 		}},
 	}

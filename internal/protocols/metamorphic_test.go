@@ -88,7 +88,7 @@ func TestMetamorphicSeedInvariance(t *testing.T) {
 	cases := differentialGraphs(t)
 	tc := cases[3]
 	pred := predicates.Connectivity{}
-	base, err := protocols.Decide(tc.g, tc.d, pred, congest.Options{})
+	base, err := protocols.Run(tc.g, protocols.Config{Pred: pred, Mode: protocols.ModeDecide, D: tc.d}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 		err        string
 	}
 	run := func(g *graphpkg.Graph, d int, opts congest.Options) outcome {
-		res, err := protocols.Decide(g, d, predicates.Acyclicity{}, opts)
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, opts)
 		var o outcome
 		if res != nil {
 			o = outcome{stats: res.Stats, tdExceeded: res.TdExceeded, accepted: res.Accepted}

@@ -23,7 +23,7 @@ func TestDistributedSteinerTree(t *testing.T) {
 		gen.AssignRandomWeights(g, 10, r.Int63())
 		g.SetVertexLabel(predicates.TerminalLabel, 0)
 		g.SetVertexLabel(predicates.TerminalLabel, n-1)
-		dist, err := protocols.Optimize(g, 2, predicates.SteinerTree{}, false, opts(r.Int63()))
+		dist, err := protocols.Run(g, protocols.Config{Pred: predicates.SteinerTree{}, Mode: protocols.ModeOptimize, D: 2}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestDistributedHamiltonian(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := protocols.Decide(tc.g, 4, predicates.HamiltonianCycle{}, opts(3))
+			res, err := protocols.Run(tc.g, protocols.Config{Pred: predicates.HamiltonianCycle{}, Mode: protocols.ModeDecide, D: 4}, opts(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestDistributedGenericEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	free, _ := gen.BoundedTreedepth(12, 2, 0.2, 55)
-	res, err := protocols.Decide(free, 2, engine, opts(4))
+	res, err := protocols.Run(free, protocols.Config{Pred: engine, Mode: protocols.ModeDecide, D: 2}, opts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBaselineMatchesProtocol(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 5 + r.Intn(20)
 		g, _ := gen.BoundedTreedepth(n, 3, 0.4, r.Int63())
-		proto, err := protocols.Decide(g, 3, predicates.Acyclicity{}, opts(r.Int63()))
+		proto, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 3}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestBandwidthFactorIndependence(t *testing.T) {
 	var weights []int64
 	var rounds []int
 	for _, factor := range []int{0, 8, 64} {
-		res, err := protocols.Optimize(g, 3, predicates.IndependentSet{}, true,
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 3, Maximize: true},
 			congest.Options{BandwidthFactor: factor})
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +182,7 @@ func TestDistributedRedBlueDomination(t *testing.T) {
 				g.SetVertexLabel("blue", v)
 			}
 		}
-		dist, err := protocols.Optimize(g, 2, p, false, opts(r.Int63()))
+		dist, err := protocols.Run(g, protocols.Config{Pred: p, Mode: protocols.ModeOptimize, D: 2}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestDistributedInfeasibleOptimization(t *testing.T) {
 	g.SetVertexLabel("red", 1)
 	g.SetVertexLabel("red", 2)
 	p := predicates.DominatingSet{DominateLabel: "red", MemberLabel: "blue"}
-	res, err := protocols.Optimize(g, 2, p, false, opts(1))
+	res, err := protocols.Run(g, protocols.Config{Pred: p, Mode: protocols.ModeOptimize, D: 2}, opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestMinimalBandwidth(t *testing.T) {
 	// Factor 1 gives the floor budget of 8 bits; the protocol must still be
 	// correct, just slower.
 	g, _ := gen.BoundedTreedepth(12, 2, 0.4, 70)
-	res, err := protocols.Decide(g, 2, predicates.Acyclicity{}, congest.Options{BandwidthFactor: 1})
+	res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{BandwidthFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := protocols.Decide(g, 2, predicates.Acyclicity{}, congest.Options{BandwidthFactor: 64})
+	wide, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{BandwidthFactor: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +251,9 @@ func TestFaultInjectionNoPanics(t *testing.T) {
 			CorruptSeed: r.Int63(),
 			RoundLimit:  1 << 16,
 		}
-		_, _ = protocols.Decide(g, 2, predicates.Acyclicity{}, opts)
-		_, _ = protocols.Optimize(g, 2, predicates.IndependentSet{}, true, opts)
-		_, _ = protocols.Count(g, 2, predicates.Triangles{}, opts)
+		_, _ = protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, opts)
+		_, _ = protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 2, Maximize: true}, opts)
+		_, _ = protocols.Run(g, protocols.Config{Pred: predicates.Triangles{}, Mode: protocols.ModeCount, D: 2}, opts)
 	}
 }
 
@@ -262,12 +262,12 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 	// sequential one: same rounds, same verdicts, same selections.
 	g, _ := gen.BoundedTreedepth(30, 3, 0.4, 77)
 	gen.AssignRandomWeights(g, 10, 78)
-	serial, err := protocols.Optimize(g, 3, predicates.IndependentSet{}, true,
+	serial, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 3, Maximize: true},
 		congest.Options{IDSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := protocols.Optimize(g, 3, predicates.IndependentSet{}, true,
+	parallel, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: 3, Maximize: true},
 		congest.Options{IDSeed: 5, Parallel: true})
 	if err != nil {
 		t.Fatal(err)

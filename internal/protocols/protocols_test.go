@@ -25,7 +25,7 @@ func TestElimTreeValidOnBoundedTreedepth(t *testing.T) {
 		n := 4 + r.Intn(30)
 		d := 2 + r.Intn(2)
 		g, _ := gen.BoundedTreedepth(n, d, 0.5, r.Int63())
-		res, err := protocols.Decide(g, d, predicates.Acyclicity{}, opts(r.Int63()))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, opts(r.Int63()))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -53,7 +53,7 @@ func TestElimTreeValidOnBoundedTreedepth(t *testing.T) {
 func TestTdExceededReported(t *testing.T) {
 	// td(P40) = 6 > 2, so d = 2 must be reported as exceeded.
 	g := gen.Path(40)
-	res, err := protocols.Decide(g, 2, predicates.Acyclicity{}, opts(7))
+	res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, opts(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTdExceededReported(t *testing.T) {
 		t.Fatal("expected large-treedepth report for P40 with d=2")
 	}
 	// With d = 6 it must succeed.
-	res, err = protocols.Decide(g, 6, predicates.Acyclicity{}, opts(7))
+	res, err = protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 6}, opts(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDistributedDecisionMatchesSequential(t *testing.T) {
 		n := 4 + r.Intn(14)
 		d := 2 + r.Intn(2)
 		g, _ := gen.BoundedTreedepth(n, d, 0.6, r.Int63())
-		res, err := protocols.Decide(g, d, predicates.Acyclicity{}, opts(r.Int63()))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: d}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestDistributedThreeColorability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := protocols.Decide(tc.g, 5, predicates.KColorability{K: 3}, opts(11))
+			res, err := protocols.Run(tc.g, protocols.Config{Pred: predicates.KColorability{K: 3}, Mode: protocols.ModeDecide, D: 5}, opts(11))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestDistributedOptimizationMatchesOracle(t *testing.T) {
 		gen.AssignRandomWeights(g, 10, r.Int63())
 
 		// Maximum independent set.
-		res, err := protocols.Optimize(g, d, predicates.IndependentSet{}, true, opts(r.Int63()))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeOptimize, D: d, Maximize: true}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestDistributedMST(t *testing.T) {
 		n := 4 + r.Intn(6)
 		g, _ := gen.BoundedTreedepth(n, 2, 0.7, r.Int63())
 		gen.AssignRandomWeights(g, 20, r.Int63())
-		res, err := protocols.Optimize(g, 2, predicates.SpanningTree{}, false, opts(r.Int63()))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeOptimize, D: 2}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestDistributedCounting(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 4 + r.Intn(10)
 		g, _ := gen.BoundedTreedepth(n, 3, 0.7, r.Int63())
-		res, err := protocols.Count(g, 3, predicates.Triangles{}, opts(r.Int63()))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.Triangles{}, Mode: protocols.ModeCount, D: 3}, opts(r.Int63()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestDistributedCheckMarked(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := protocols.CheckMarked(tc.g, 3, predicates.IndependentSet{}, true, opts(5))
+			res, err := protocols.Run(tc.g, protocols.Config{Pred: predicates.IndependentSet{}, Mode: protocols.ModeCheckMarked, D: 3, Maximize: true}, opts(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestDistributedCheckMarkedMST(t *testing.T) {
 			good.SetEdgeLabel(protocols.MarkLabel, e.ID)
 		}
 	}
-	res, err := protocols.CheckMarked(good, 3, predicates.SpanningTree{}, false, opts(5))
+	res, err := protocols.Run(good, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeCheckMarked, D: 3}, opts(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestDistributedCheckMarkedMST(t *testing.T) {
 		}
 	}
 	bad.SetEdgeLabel(protocols.MarkLabel, heavy)
-	res, err = protocols.CheckMarked(bad, 3, predicates.SpanningTree{}, false, opts(5))
+	res, err = protocols.Run(bad, protocols.Config{Pred: predicates.SpanningTree{}, Mode: protocols.ModeCheckMarked, D: 3}, opts(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestDistributedMatchesSequentialAcrossSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := protocols.Optimize(g, 3, predicates.VertexCover{}, false, opts(seed))
+		res, err := protocols.Run(g, protocols.Config{Pred: predicates.VertexCover{}, Mode: protocols.ModeOptimize, D: 3}, opts(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestStatsWithinBandwidth(t *testing.T) {
 	g, _ := gen.BoundedTreedepth(24, 3, 0.4, 17)
-	res, err := protocols.Decide(g, 3, predicates.Acyclicity{}, opts(17))
+	res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 3}, opts(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestStatsWithinBandwidth(t *testing.T) {
 
 func TestSingleVertex(t *testing.T) {
 	g := graph.New(1)
-	res, err := protocols.Decide(g, 1, predicates.Acyclicity{}, congest.Options{})
+	res, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 1}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func reliableOptions(n int) congest.Options {
 // pure (slower) transport: verdict and elimination forest match the raw run.
 func TestReliableFaultFreeMatchesRaw(t *testing.T) {
 	g, _ := gen.BoundedTreedepth(18, 2, 0.3, 42)
-	raw, err := protocols.Decide(g, 2, predicates.Acyclicity{}, congest.Options{})
+	raw, err := protocols.Run(g, protocols.Config{Pred: predicates.Acyclicity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestReliableFaultFreeMatchesRaw(t *testing.T) {
 // verdict, with the loss visible in the retransmission counters.
 func TestReliableMasksDrops(t *testing.T) {
 	g, _ := gen.BoundedTreedepth(14, 2, 0.3, 43)
-	want, err := protocols.Decide(g, 2, predicates.Connectivity{}, congest.Options{})
+	want, err := protocols.Run(g, protocols.Config{Pred: predicates.Connectivity{}, Mode: protocols.ModeDecide, D: 2}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReliableRejectsTinyBudget(t *testing.T) {
 // retry budget are masked like drops.
 func TestReliableSurvivesCrashRestart(t *testing.T) {
 	g, _ := gen.BoundedTreedepth(12, 2, 0.3, 46)
-	want, err := protocols.Decide(g, 2, predicates.KColorability{K: 2}, congest.Options{})
+	want, err := protocols.Run(g, protocols.Config{Pred: predicates.KColorability{K: 2}, Mode: protocols.ModeDecide, D: 2}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

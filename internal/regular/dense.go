@@ -456,42 +456,3 @@ func (c *Cached) InternCountTable(t CountTable) DenseCount {
 	}
 	return out
 }
-
-// ClassSetOf converts a dense set back to the map form.
-func (c *Cached) ClassSetOf(s DenseSet) ClassSet {
-	if c.mu != nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-	}
-	out := make(ClassSet, len(s.IDs))
-	for _, id := range s.IDs {
-		out[c.in.Key(id)] = c.in.Class(id)
-	}
-	return out
-}
-
-// OptTableOf converts a dense OPT table back to the map form.
-func (c *Cached) OptTableOf(t DenseOpt) OptTable {
-	if c.mu != nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-	}
-	out := make(OptTable, len(t.IDs))
-	for i, id := range t.IDs {
-		out[c.in.Key(id)] = OptEntry{Class: c.in.Class(id), Weight: t.Weights[i]}
-	}
-	return out
-}
-
-// CountTableOf converts a dense COUNT table back to the map form.
-func (c *Cached) CountTableOf(t DenseCount) CountTable {
-	if c.mu != nil {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-	}
-	out := make(CountTable, len(t.IDs))
-	for i, id := range t.IDs {
-		out[c.in.Key(id)] = CountEntry{Class: c.in.Class(id), Count: t.Counts[i]}
-	}
-	return out
-}

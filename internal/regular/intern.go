@@ -93,15 +93,6 @@ func (in *Interner) Class(id ClassID) Class { return in.classes[id] }
 // Key returns the canonical key for id.
 func (in *Interner) Key(id ClassID) string { return in.keys[id] }
 
-// Rank returns id's position in the canonical (key-sorted) order over all
-// classes interned so far. Ranks shift as new classes arrive, but the
-// relative order of existing IDs never changes, so sorting by rank always
-// reproduces key order.
-func (in *Interner) Rank(id ClassID) int32 {
-	in.ensureRank()
-	return in.rank[id]
-}
-
 // SortCanonical sorts ids into canonical key order using integer rank
 // comparisons — the "computed once" iteration order dense tables rely on.
 func (in *Interner) SortCanonical(ids []ClassID) {

@@ -157,9 +157,6 @@ func (p *HSubgraph) orbit(cfg hsubConfig) []hsubConfig {
 	return out
 }
 
-// Pattern returns a copy of the pattern graph.
-func (p *HSubgraph) Pattern() *graph.Graph { return p.h.Clone() }
-
 const (
 	statusUnmapped = 0
 	statusInternal = 0xFE

@@ -107,15 +107,6 @@ type Predicate interface {
 // canonically.
 type ClassSet map[string]Class
 
-// NewClassSet builds a ClassSet from classes.
-func NewClassSet(classes ...Class) ClassSet {
-	s := make(ClassSet, len(classes))
-	for _, c := range classes {
-		s[c.Key()] = c
-	}
-	return s
-}
-
 // Keys returns the sorted keys (canonical iteration order).
 func (s ClassSet) Keys() []string {
 	out := make([]string, 0, len(s))

@@ -27,9 +27,6 @@ func (d *Decomposition) Width() int {
 	return w - 1
 }
 
-// NumNodes returns the number of decomposition nodes.
-func (d *Decomposition) NumNodes() int { return len(d.Parent) }
-
 // Children returns for each decomposition node its children, sorted.
 func (d *Decomposition) Children() [][]int {
 	ch := make([][]int, len(d.Parent))
