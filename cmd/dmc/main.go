@@ -61,7 +61,7 @@ import (
 )
 
 func main() {
-	if err := runArgs(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+	if err := runArgs(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "dmc:", err)
 		os.Exit(1)
 	}

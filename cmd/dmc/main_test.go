@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 )
+
+// TestMain runs the command itself when the test binary is started under
+// the name dmc, so exit-status tests can execute main.
+func TestMain(m *testing.M) {
+	if filepath.Base(os.Args[0]) == "dmc" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // runDMC drives the CLI in-process.
 func runDMC(t *testing.T, args []string, stdin string) (stdout, stderr string, err error) {
@@ -281,5 +293,49 @@ func TestRejectedRunCreatesNoTraceFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("rejected run created the trace file (stat err = %v)", err)
+	}
+}
+
+// TestHelpExitStatus runs main in a child process: -h prints the usage and
+// exits 0 with no error line, an unknown flag prints the usage and the
+// error and exits 1.
+func TestHelpExitStatus(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		arg     string
+		code    int
+		errLine string
+	}{
+		{"-h", 0, ""},
+		{"-no-such-flag", 1, "dmc: flag provided but not defined: -no-such-flag"},
+	} {
+		var stderr bytes.Buffer
+		cmd := &exec.Cmd{Path: exe, Args: []string{"dmc", tc.arg}, Stderr: &stderr}
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("%s: %v", tc.arg, err)
+			}
+			code = exit.ExitCode()
+		}
+		if code != tc.code {
+			t.Errorf("dmc %s exited %d, want %d; stderr:\n%s", tc.arg, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "Usage of dmc:") {
+			t.Errorf("dmc %s: no usage on stderr:\n%s", tc.arg, stderr.String())
+		}
+		var errLine string
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "dmc: ") {
+				errLine = line
+			}
+		}
+		if errLine != tc.errLine {
+			t.Errorf("dmc %s: error line %q, want %q", tc.arg, errLine, tc.errLine)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -153,6 +154,91 @@ func TestDifferentialCountVsSequential(t *testing.T) {
 			}
 			if res.Count != want {
 				t.Errorf("%s seed=%d: count=%d oracle=%d", tc.name, seed, res.Count, want)
+			}
+		}
+	}
+}
+
+// TestDifferentialCheckMarkedVsSequential checks optmarked (Section 6):
+// distributed ModeCheckMarked against seq's Runner.CheckMarked, for a vertex
+// and an edge predicate. Each graph marks seq's optimum (a true case) and
+// that optimum with one element toggled: element x, which weighs 0, so the
+// set keeps the optimal weight and its verdict turns on φ alone (false when
+// the toggle breaks the independent set or the spanning tree), and element
+// x+1, which in general changes the weight.
+func TestDifferentialCheckMarkedVsSequential(t *testing.T) {
+	preds := []struct {
+		name     string
+		pred     regular.Predicate
+		maximize bool
+	}{
+		{"max-independent-set", predicates.IndependentSet{}, true},
+		{"min-spanning-tree", predicates.SpanningTree{}, false},
+	}
+	for i, tc := range differentialGraphs(t) {
+		forest := treedepth.DFSForest(tc.g)
+		for _, p := range preds {
+			edges := p.pred.SetKind() == regular.SetEdge
+			g := tc.g.Clone()
+			universe := g.NumVertices()
+			if edges {
+				universe = g.NumEdges()
+			}
+			x := i % universe
+			if edges {
+				g.SetEdgeWeight(x, 0)
+			} else {
+				g.SetVertexWeight(x, 0)
+			}
+			oracle, err := seq.New(g, forest, p.pred)
+			if err != nil {
+				t.Fatalf("%s/%s: oracle: %v", tc.name, p.name, err)
+			}
+			opt, err := oracle.Optimize(p.maximize)
+			if err != nil || !opt.Found {
+				t.Fatalf("%s/%s: oracle optimize: found=%v err=%v", tc.name, p.name, opt.Found, err)
+			}
+			best := opt.Vertices
+			if edges {
+				best = opt.Edges
+			}
+			toggle := func(y int) *bitset.Set {
+				s := best.Clone()
+				if s.Contains(y) {
+					s.Remove(y)
+				} else {
+					s.Add(y)
+				}
+				return s
+			}
+			for _, marked := range []*bitset.Set{best, toggle(x), toggle((x + 1) % universe)} {
+				want, err := oracle.CheckMarked(marked, p.maximize)
+				if err != nil {
+					t.Fatalf("%s/%s: oracle check: %v", tc.name, p.name, err)
+				}
+				if marked == best && !want {
+					t.Fatalf("%s/%s: oracle rejects its own optimum %v", tc.name, p.name, marked)
+				}
+				mg := g.Clone()
+				marked.ForEach(func(y int) {
+					if edges {
+						mg.SetEdgeLabel(protocols.MarkLabel, y)
+					} else {
+						mg.SetVertexLabel(protocols.MarkLabel, y)
+					}
+				})
+				for _, seed := range idSeeds(i) {
+					res, err := protocols.Run(mg, protocols.Config{Pred: p.pred, Mode: protocols.ModeCheckMarked, D: tc.d, Maximize: p.maximize}, congest.Options{IDSeed: seed})
+					if err != nil {
+						t.Fatalf("%s/%s seed=%d: %v", tc.name, p.name, seed, err)
+					}
+					if res.TdExceeded {
+						t.Fatalf("%s/%s seed=%d: unexpected treedepth report", tc.name, p.name, seed)
+					}
+					if res.Accepted != want {
+						t.Errorf("%s/%s seed=%d marked=%v: distributed=%v oracle=%v", tc.name, p.name, seed, marked, res.Accepted, want)
+					}
+				}
 			}
 		}
 	}

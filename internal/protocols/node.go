@@ -67,6 +67,18 @@ type Config struct {
 // depthBound is 2^d, the elimination-tree depth bound of Lemma 2.5.
 func (c *Config) depthBound() int { return 1 << uint(c.D) }
 
+// semiring is the table algebra of the main DP table: ∃ for decision,
+// checked counting, and (max,+) or (min,+) for both optimization modes.
+func (c *Config) semiring() regular.Semiring {
+	switch c.Mode {
+	case ModeDecide:
+		return regular.Exists
+	case ModeCount:
+		return regular.Count
+	}
+	return regular.OptSemiring(c.Maximize)
+}
+
 // elimPayloadBytes is the fixed payload size of elimination-phase messages
 // (three u32 fields); elimMsgBytes adds the stream length prefix.
 const (
@@ -199,10 +211,8 @@ type dpState struct {
 	tableGot     []bool
 	tablesGot    int
 	stages       []upStage
-	finalOpt     regular.DenseOpt
-	finalDecide  regular.DenseSet
-	finalCount   regular.DenseCount
-	finalMarked  regular.DenseSet // ModeCheckMarked: classes with S fixed to the marked set
+	final        regular.Table // the node's table under cfg.semiring()
+	finalMarked  regular.Table // ModeCheckMarked: classes with S fixed to the marked set
 	markedWeight int64
 	sentUp       bool
 }
@@ -224,9 +234,12 @@ type tableEntry struct {
 	value int64
 }
 
+// upStage is one ModeOptimize fold: the child folded in, the table the
+// fold produced and that table's back-pointers.
 type upStage struct {
 	childID int
-	back    map[regular.ClassID]regular.DenseBack
+	table   regular.Table
+	back    []regular.Back
 }
 
 type floodTuple struct {

@@ -122,63 +122,42 @@ func (n *dpNode) buildBaseTables() error {
 	} else {
 		n.cache = regular.NewCached(n.cfg.Pred)
 	}
-	switch n.cfg.Mode {
-	case ModeDecide:
-		n.finalDecide, err = n.cache.BaseDenseSet(base)
-	case ModeOptimize:
-		n.finalOpt, err = n.cache.BaseDenseOpt(base, n.ownerRank(), n.cfg.Maximize)
-	case ModeCount:
-		n.finalCount, err = n.cache.BaseDenseCount(base)
-	case ModeCheckMarked:
-		n.finalOpt, err = n.cache.BaseDenseOpt(base, n.ownerRank(), n.cfg.Maximize)
-		if err != nil {
-			return err
-		}
-		marked, err := n.markedBaseClassSet(base)
-		if err != nil {
-			return err
-		}
-		n.finalMarked = n.cache.InternClassSet(marked)
-		n.markedWeight = n.localMarkedWeight(base)
-	default:
+	if n.cfg.Mode < ModeDecide || n.cfg.Mode > ModeCheckMarked {
 		return fmt.Errorf("%w: unknown mode %d", ErrProtocol, n.cfg.Mode)
 	}
+	if n.final, err = n.cache.Base(n.cfg.semiring(), base, n.ownerRank(), nil); err != nil {
+		return err
+	}
+	if n.cfg.Mode != ModeCheckMarked {
+		return nil
+	}
+	keep, err := n.markedFilter()
+	if err != nil {
+		return err
+	}
+	n.finalMarked, err = n.cache.Base(regular.Exists, base, n.ownerRank(), keep)
+	n.markedWeight = n.localMarkedWeight(base)
 	return err
 }
 
-// markedBaseClassSet filters base classes to those whose selection matches
-// the marked set on the elements owned by this node.
-func (n *dpNode) markedBaseClassSet(base *wterm.TerminalGraph) (regular.ClassSet, error) {
-	pred := n.cfg.Pred
-	classes, err := pred.HomBase(base)
-	if err != nil {
-		return nil, err
-	}
+// markedFilter admits the base selections that match the marked set on the
+// elements owned by this node.
+func (n *dpNode) markedFilter() (func(regular.Selection) bool, error) {
 	own := n.ownerRank()
-	out := make(regular.ClassSet)
-	switch pred.SetKind() {
+	switch n.cfg.Pred.SetKind() {
 	case regular.SetVertex:
 		wantBit := uint64(0)
 		if n.env.Labels[MarkLabel] {
 			wantBit = 1 << uint(own)
 		}
-		for _, bc := range classes {
-			if bc.Sel.VertexMask&(1<<uint(own)) == wantBit {
-				out[bc.Class.Key()] = bc.Class
-			}
-		}
+		return func(sel regular.Selection) bool { return sel.VertexMask&(1<<uint(own)) == wantBit }, nil
 	case regular.SetEdge:
 		want := n.markedOwnedPairs()
-		for _, bc := range classes {
-			got := regular.NormalizeEdgePairs(append([][2]int(nil), bc.Sel.EdgePairs...))
-			if pairsEqual(got, want) {
-				out[bc.Class.Key()] = bc.Class
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: CheckMarked needs a predicate with a free set variable", ErrProtocol)
+		return func(sel regular.Selection) bool {
+			return pairsEqual(regular.NormalizeEdgePairs(append([][2]int(nil), sel.EdgePairs...)), want)
+		}, nil
 	}
-	return out, nil
+	return nil, fmt.Errorf("%w: CheckMarked needs a predicate with a free set variable", ErrProtocol)
 }
 
 // markedOwnedPairs lists this node's owned edges carrying the mark label, as
@@ -300,14 +279,6 @@ func readEntries(r *wireReader) ([]tableEntry, error) {
 	return out, nil
 }
 
-func writeEntries(w *wireWriter, entries []tableEntry) {
-	w.u32(uint32(len(entries)))
-	for _, e := range entries {
-		w.bytes(e.key)
-		w.i64(e.value)
-	}
-}
-
 // tryFoldAndSend folds all children (once they have all reported) and sends
 // the node's table to its parent, or — at the root — computes the verdict
 // and starts the downward phase.
@@ -337,63 +308,31 @@ func (n *dpNode) tryFoldAndSend() {
 	w.u8(tagTable)
 	w.u8(uint8(n.failure))
 	if n.failure != 0 {
-		writeEntries(&w, nil)
-		writeEntries(&w, nil)
+		n.writeTable(&w, regular.Table{})
+		n.writeTable(&w, regular.Table{})
 		w.i64(0)
 	} else {
-		n.writeMarkedEntries(&w)
-		n.writeMainEntries(&w)
+		n.writeTable(&w, n.finalMarked)
+		n.writeTable(&w, n.final)
 		w.i64(n.markedWeight)
 	}
 	n.send[n.parentPort].Push(w.buf)
-	if n.cfg.Mode == ModeOptimize {
-		n.phase = phaseDown // wait for the target class
-	} else {
-		n.phase = phaseDown // wait for the verdict
-	}
+	n.phase = phaseDown // wait for the verdict or the target class
 }
 
-// Tables cross the wire in canonical (key-sorted) entry order. Dense tables
-// already hold their IDs in that order, so serialization is a straight walk
-// directly from the interner's key strings onto the wire — same bytes as
-// the historical entry-list assembly (u32 count, then per entry
-// length-prefixed key + i64 value), without materializing a []byte copy of
-// every key first.
-
-func (n *dpNode) writeMarkedEntries(w *wireWriter) {
-	if n.cfg.Mode != ModeCheckMarked {
-		w.u32(0)
-		return
-	}
-	w.u32(uint32(len(n.finalMarked.IDs)))
-	for _, id := range n.finalMarked.IDs {
+// writeTable puts a table on the wire in canonical (key-sorted) entry
+// order: u32 count, then per entry the length-prefixed key and an i64 value
+// (0 for a decision table). Dense tables already hold their IDs in that
+// order, so this is a straight walk from the interner's key strings.
+func (n *dpNode) writeTable(w *wireWriter, t regular.Table) {
+	w.u32(uint32(len(t.IDs)))
+	for i, id := range t.IDs {
 		w.str(n.cache.KeyOf(id))
-		w.i64(0)
-	}
-}
-
-func (n *dpNode) writeMainEntries(w *wireWriter) {
-	switch n.cfg.Mode {
-	case ModeDecide:
-		w.u32(uint32(len(n.finalDecide.IDs)))
-		for _, id := range n.finalDecide.IDs {
-			w.str(n.cache.KeyOf(id))
-			w.i64(0)
+		var v int64
+		if t.Vals != nil {
+			v = t.Vals[i]
 		}
-	case ModeOptimize, ModeCheckMarked:
-		w.u32(uint32(len(n.finalOpt.IDs)))
-		for i, id := range n.finalOpt.IDs {
-			w.str(n.cache.KeyOf(id))
-			w.i64(n.finalOpt.Weights[i])
-		}
-	case ModeCount:
-		w.u32(uint32(len(n.finalCount.IDs)))
-		for i, id := range n.finalCount.IDs {
-			w.str(n.cache.KeyOf(id))
-			w.i64(n.finalCount.Counts[i])
-		}
-	default:
-		w.u32(0)
+		w.i64(v)
 	}
 }
 
@@ -402,6 +341,7 @@ func (n *dpNode) writeMainEntries(w *wireWriter) {
 // the node's cached dense algebra; iteration order is canonical, so verdicts,
 // weights, and tie-breaking match the uncached map folds exactly.
 func (n *dpNode) foldChildren() error {
+	s := n.cfg.semiring()
 	for ci, childID := range n.childIDs {
 		ct := n.childTables[ci]
 		if ct.failure != 0 {
@@ -414,54 +354,28 @@ func (n *dpNode) foldChildren() error {
 			return err
 		}
 		g := n.cache.InternGluing(glue)
-		switch n.cfg.Mode {
-		case ModeDecide:
-			child, err := n.decodeDenseSet(ct.entries)
+		if n.cfg.Mode == ModeCheckMarked {
+			childMarked, err := n.decodeTable(regular.Exists, ct.marked)
 			if err != nil {
 				return err
 			}
-			n.finalDecide, err = n.cache.FoldDecideDense(g, n.finalDecide, child)
-			if err != nil {
-				return err
-			}
-		case ModeOptimize:
-			child, err := n.decodeDenseOpt(ct.entries)
-			if err != nil {
-				return err
-			}
-			var back map[regular.ClassID]regular.DenseBack
-			n.finalOpt, back, err = n.cache.FoldOptDense(g, n.finalOpt, child, n.cfg.Maximize)
-			if err != nil {
-				return err
-			}
-			n.stages = append(n.stages, upStage{childID: childID, back: back})
-		case ModeCount:
-			child, err := n.decodeDenseCount(ct.entries)
-			if err != nil {
-				return err
-			}
-			n.finalCount, err = n.cache.FoldCountDense(g, n.finalCount, child)
-			if err != nil {
-				return err
-			}
-		case ModeCheckMarked:
-			childMarked, err := n.decodeDenseSet(ct.marked)
-			if err != nil {
-				return err
-			}
-			n.finalMarked, err = n.cache.FoldDecideDense(g, n.finalMarked, childMarked)
-			if err != nil {
-				return err
-			}
-			childOpt, err := n.decodeDenseOpt(ct.entries)
-			if err != nil {
-				return err
-			}
-			n.finalOpt, _, err = n.cache.FoldOptDense(g, n.finalOpt, childOpt, n.cfg.Maximize)
+			n.finalMarked, _, err = n.cache.Fold(regular.Exists, g, n.finalMarked, childMarked)
 			if err != nil {
 				return err
 			}
 			n.markedWeight += ct.weight
+		}
+		child, err := n.decodeTable(s, ct.entries)
+		if err != nil {
+			return err
+		}
+		var back []regular.Back
+		n.final, back, err = n.cache.Fold(s, g, n.final, child)
+		if err != nil {
+			return err
+		}
+		if n.cfg.Mode == ModeOptimize {
+			n.stages = append(n.stages, upStage{childID: childID, table: n.final, back: back})
 		}
 	}
 	return nil
@@ -476,133 +390,95 @@ func insertSorted(xs []int, v int) []int {
 	return out
 }
 
-// decodeWire interns every wire entry in received order. Honest senders emit
-// canonical (key-sorted, duplicate-free) entries, so the ID list is already
-// canonical for our interner too (both orders are the lexicographic key
-// order) — one InternWire per entry and no sorting. A violation means a
-// corrupted or malformed message; legacy map decoding collapsed those
-// silently (last duplicate wins, order recomputed), so we restore exactly
-// those semantics before returning.
-func (n *dpNode) decodeWire(entries []tableEntry) ([]regular.ClassID, []int64, error) {
-	ids := make([]regular.ClassID, 0, len(entries))
-	vals := make([]int64, 0, len(entries))
+// decodeTable interns a child's wire table for a fold under s, dropping
+// the values of a decision table. Honest senders emit canonical
+// (key-sorted, duplicate-free) entries, so the ID list is already canonical
+// for our interner too (both orders are the lexicographic key order) — one
+// InternWire per entry and no sorting. A violation means a corrupted or
+// malformed message; legacy map decoding collapsed those silently (last
+// duplicate wins, order recomputed), so we restore exactly those semantics
+// before returning.
+func (n *dpNode) decodeTable(s regular.Semiring, entries []tableEntry) (regular.Table, error) {
+	t := regular.Table{IDs: make([]regular.ClassID, 0, len(entries))}
+	if s != regular.Exists {
+		t.Vals = make([]int64, 0, len(entries))
+	}
 	canonical := true
 	for i, e := range entries {
 		id, err := n.cache.InternWire(e.key)
 		if err != nil {
-			return nil, nil, err
+			return regular.Table{}, err
 		}
-		if i > 0 && n.cache.KeyOf(ids[len(ids)-1]) >= n.cache.KeyOf(id) {
+		if i > 0 && n.cache.KeyOf(t.IDs[i-1]) >= n.cache.KeyOf(id) {
 			canonical = false
 		}
-		ids = append(ids, id)
-		vals = append(vals, e.value)
+		t.IDs = append(t.IDs, id)
+		if t.Vals != nil {
+			t.Vals = append(t.Vals, e.value)
+		}
 	}
 	if canonical {
-		return ids, vals, nil
+		return t, nil
 	}
 	// Map semantics: last occurrence of a key wins, then canonical order.
-	byID := make(map[regular.ClassID]int64, len(ids))
-	uniq := ids[:0]
-	for i, id := range ids {
+	byID := make(map[regular.ClassID]int64, len(t.IDs))
+	uniq := t.IDs[:0]
+	for i, id := range t.IDs {
 		if _, seen := byID[id]; !seen {
 			uniq = append(uniq, id)
 		}
-		byID[id] = vals[i]
+		byID[id] = entries[i].value
 	}
 	n.cache.SortCanonical(uniq)
-	vals = vals[:0]
-	for _, id := range uniq {
-		vals = append(vals, byID[id])
+	t.IDs = uniq
+	if t.Vals != nil {
+		t.Vals = t.Vals[:0]
+		for _, id := range uniq {
+			t.Vals = append(t.Vals, byID[id])
+		}
 	}
-	return uniq, vals, nil
-}
-
-func (n *dpNode) decodeDenseSet(entries []tableEntry) (regular.DenseSet, error) {
-	ids, _, err := n.decodeWire(entries)
-	if err != nil {
-		return regular.DenseSet{}, err
-	}
-	return regular.DenseSet{IDs: ids}, nil
-}
-
-func (n *dpNode) decodeDenseOpt(entries []tableEntry) (regular.DenseOpt, error) {
-	ids, vals, err := n.decodeWire(entries)
-	if err != nil {
-		return regular.DenseOpt{}, err
-	}
-	return regular.DenseOpt{IDs: ids, Weights: vals}, nil
-}
-
-func (n *dpNode) decodeDenseCount(entries []tableEntry) (regular.DenseCount, error) {
-	ids, vals, err := n.decodeWire(entries)
-	if err != nil {
-		return regular.DenseCount{}, err
-	}
-	return regular.DenseCount{IDs: ids, Counts: vals}, nil
+	return t, nil
 }
 
 // --- root verdict and downward phase ---
 
 func (n *dpNode) rootFinish() {
 	n.out.IsRoot = true
+	if n.failure != 0 {
+		n.broadcastVerdict()
+		return
+	}
+	markedOK := true
+	var err error
+	if n.cfg.Mode == ModeCheckMarked {
+		_, _, markedOK, err = n.cache.ReduceAccepting(regular.Exists, n.finalMarked)
+	}
+	var best regular.ClassID
+	var val int64
+	var found bool
+	if err == nil {
+		best, val, found, err = n.cache.ReduceAccepting(n.cfg.semiring(), n.final)
+	}
+	if err != nil {
+		n.failPred(err)
+		n.broadcastVerdict()
+		return
+	}
 	switch n.cfg.Mode {
 	case ModeDecide:
-		accepted := false
-		if n.failure == 0 {
-			var err error
-			accepted, err = n.cache.AnyAcceptingDense(n.finalDecide)
-			if err != nil {
-				n.failPred(err)
-			}
-		}
-		n.out.Accepted = accepted && n.failure == 0
-		n.broadcastVerdict()
+		n.out.Accepted = found
 	case ModeCount:
-		var total int64
-		if n.failure == 0 {
-			var err error
-			total, err = n.cache.TotalAcceptingDense(n.finalCount)
-			if err != nil {
-				n.failPred(err)
-			}
-		}
-		n.out.Count = total
-		n.broadcastVerdict()
+		n.out.Count = val
 	case ModeCheckMarked:
-		accepted := false
-		if n.failure == 0 {
-			okMarked, err := n.cache.AnyAcceptingDense(n.finalMarked)
-			if err != nil {
-				n.failPred(err)
-			}
-			_, bestW, found, err := n.cache.BestAcceptingDense(n.finalOpt, n.cfg.Maximize)
-			if err != nil {
-				n.failPred(err)
-			}
-			accepted = okMarked && found && bestW == n.markedWeight
-		}
-		n.out.Accepted = accepted && n.failure == 0
-		n.broadcastVerdict()
+		n.out.Accepted = markedOK && found && val == n.markedWeight
 	case ModeOptimize:
-		if n.failure != 0 {
-			n.broadcastVerdict()
+		n.out.Found, n.out.Weight = found, val
+		if found {
+			n.applyTarget(best)
 			return
 		}
-		bestID, bestW, found, err := n.cache.BestAcceptingDense(n.finalOpt, n.cfg.Maximize)
-		if err != nil {
-			n.failPred(err)
-			n.broadcastVerdict()
-			return
-		}
-		n.out.Found = found
-		n.out.Weight = bestW
-		if !found {
-			n.broadcastVerdict()
-			return
-		}
-		n.applyTarget(bestID)
 	}
+	n.broadcastVerdict()
 }
 
 func (n *dpNode) broadcastVerdict() {
@@ -657,7 +533,7 @@ func (n *dpNode) handleVerdict(r *wireReader) error {
 // Targets still cross the wire as class keys (the canonical encoding); the
 // dense back-pointer walk happens on interned IDs.
 func (n *dpNode) applyTarget(id regular.ClassID) {
-	if !denseOptHas(n.finalOpt, id) {
+	if n.final.Index(id) < 0 {
 		n.fail(failProtocol)
 		n.broadcastVerdict()
 		return
@@ -689,14 +565,14 @@ func (n *dpNode) applyTarget(id regular.ClassID) {
 	targets := make(map[int]string, len(n.stages))
 	for s := len(n.stages) - 1; s >= 0; s-- {
 		st := n.stages[s]
-		b, ok := st.back[cur]
-		if !ok {
+		j := st.table.Index(cur)
+		if j < 0 {
 			n.fail(failProtocol)
 			n.broadcastVerdict()
 			return
 		}
-		targets[st.childID] = n.cache.KeyOf(b.Child)
-		cur = b.Acc
+		targets[st.childID] = n.cache.KeyOf(st.back[j].Child)
+		cur = st.back[j].Acc
 	}
 	n.env.Tag(KindTarget)
 	for i, childID := range n.childIDs {
@@ -707,16 +583,6 @@ func (n *dpNode) applyTarget(id regular.ClassID) {
 		n.send[n.childPorts[i]].Push(w.buf)
 	}
 	n.phase = phaseDone
-}
-
-// denseOptHas reports whether the OPT table carries an entry for id.
-func denseOptHas(t regular.DenseOpt, id regular.ClassID) bool {
-	for _, x := range t.IDs {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 func (n *dpNode) handleTarget(r *wireReader) error {
@@ -742,7 +608,7 @@ func (n *dpNode) handleTarget(r *wireReader) error {
 	}
 	// The target is one of our table's classes, so its key is already
 	// interned; an unknown key is a protocol violation, reported by the
-	// denseOptHas check inside applyTarget.
+	// table lookup inside applyTarget.
 	id, ok := n.cache.LookupKey(string(key))
 	if !ok {
 		n.fail(failProtocol)

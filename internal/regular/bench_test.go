@@ -11,9 +11,10 @@ import (
 
 // foldFixture builds a six-terminal path base and an identity gluing so the
 // fold benchmarks exercise a |C|² compose loop of realistic size, comparing
-// the uncached map folds against the interned dense folds.
+// the uncached map folds against the interned dense Fold.
 type foldFixture struct {
 	pred  regular.Predicate
+	base  *wterm.TerminalGraph
 	glue  wterm.Gluing
 	set   regular.ClassSet
 	opt   regular.OptTable
@@ -37,7 +38,7 @@ func newFoldFixture(b *testing.B) *foldFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fx := &foldFixture{pred: predicates.IndependentSet{}, glue: glue}
+	fx := &foldFixture{pred: predicates.IndependentSet{}, base: base, glue: glue}
 	if fx.set, err = regular.BaseClassSet(fx.pred, base); err != nil {
 		b.Fatal(err)
 	}
@@ -50,6 +51,23 @@ func newFoldFixture(b *testing.B) *foldFixture {
 	return fx
 }
 
+// benchDense times the dense Fold of the fixture's base table with itself
+// under s.
+func benchDense(b *testing.B, fx *foldFixture, s regular.Semiring) {
+	c := regular.NewCached(fx.pred)
+	g := c.InternGluing(fx.glue)
+	t, err := c.Base(s, fx.base, 5, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.Fold(s, g, t, t); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFoldDecide(b *testing.B) {
 	fx := newFoldFixture(b)
 	b.Run("uncached", func(b *testing.B) {
@@ -59,17 +77,7 @@ func BenchmarkFoldDecide(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
-		c := regular.NewCached(fx.pred)
-		g := c.InternGluing(fx.glue)
-		ds := c.InternClassSet(fx.set)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.FoldDecideDense(g, ds, ds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("cached", func(b *testing.B) { benchDense(b, fx, regular.Exists) })
 }
 
 func BenchmarkFoldOpt(b *testing.B) {
@@ -81,17 +89,7 @@ func BenchmarkFoldOpt(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
-		c := regular.NewCached(fx.pred)
-		g := c.InternGluing(fx.glue)
-		dt := c.InternOptTable(fx.opt)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.FoldOptDense(g, dt, dt, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("cached", func(b *testing.B) { benchDense(b, fx, regular.MaxPlus) })
 }
 
 func BenchmarkFoldCount(b *testing.B) {
@@ -103,15 +101,5 @@ func BenchmarkFoldCount(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
-		c := regular.NewCached(fx.pred)
-		g := c.InternGluing(fx.glue)
-		dt := c.InternCountTable(fx.count)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.FoldCountDense(g, dt, dt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("cached", func(b *testing.B) { benchDense(b, fx, regular.Count) })
 }

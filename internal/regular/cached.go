@@ -182,8 +182,9 @@ func (k *cacheCore) liveCompose() int { return len(k.cur) + len(k.prev) }
 // regardless of hit pattern or evictions.
 //
 // Cached itself implements Predicate, so it is a drop-in wrapper for the
-// map-based fold functions; the dense fold methods in dense.go skip the
-// string keys entirely and are the fast path.
+// map-based fold functions; the dense Table algebra in dense.go (Base,
+// Fold, ReduceAccepting) skips the string keys entirely and is the fast
+// path.
 //
 // A Cached built by NewCached owns its memo state privately and is not safe
 // for concurrent use; give each goroutine (each simulated node) its own
@@ -574,12 +575,9 @@ func (c *Cached) homBase(base *wterm.TerminalGraph) ([]BaseClass, error) {
 }
 
 // SortCanonical sorts ids into canonical key order — the lock-aware
-// counterpart of Interner().SortCanonical, safe on shared handles.
-func (c *Cached) SortCanonical(ids []ClassID) { c.sortCanonical(ids) }
-
-// sortCanonical is Interner.SortCanonical behind the shared lock (rank
+// counterpart of Interner().SortCanonical, safe on shared handles (rank
 // maintenance mutates the interner even on the read path).
-func (c *Cached) sortCanonical(ids []ClassID) {
+func (c *Cached) SortCanonical(ids []ClassID) {
 	if c.mu != nil {
 		c.mu.Lock()
 		defer c.mu.Unlock()

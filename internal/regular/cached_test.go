@@ -46,35 +46,21 @@ func TestAddWeightsOverflow(t *testing.T) {
 
 // starFixture is a 3-vertex star rooted at 0 with the leaf weights chosen so
 // summing both leaves overflows int64: the weight of the two-leaf independent
-// set used to wrap around silently before AddWeights was checked.
-func starFixture(t *testing.T) (acc, t1, t2 regular.OptTable, g1, g2 wterm.Gluing) {
+// set used to wrap around silently before AddWeights was checked. bases[0]
+// is the root's base graph (owner rank 0), bases[1] and bases[2] the
+// leaves' (owner rank 1); g1 and g2 fold the leaves into the root.
+func starFixture(t *testing.T) (bases [3]*wterm.TerminalGraph, g1, g2 wterm.Gluing) {
 	t.Helper()
 	g := graph.New(3)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 2)
 	g.SetVertexWeight(1, math.MaxInt64/2+1)
 	g.SetVertexWeight(2, math.MaxInt64/2+1)
-	pred := predicates.IndependentSet{}
-	base0, err := wterm.BaseFromBag(g, []int{0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base1, err := wterm.BaseFromBag(g, []int{0, 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base2, err := wterm.BaseFromBag(g, []int{0, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc, err = regular.BaseOptTable(pred, base0, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	if t1, err = regular.BaseOptTable(pred, base1, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if t2, err = regular.BaseOptTable(pred, base2, 1, true); err != nil {
-		t.Fatal(err)
+	var err error
+	for i, bag := range [][]int{{0}, {0, 1}, {0, 2}} {
+		if bases[i], err = wterm.BaseFromBag(g, bag, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g1, err = wterm.GluingFromBags([]int{0}, []int{0, 1}, []int{0}); err != nil {
 		t.Fatal(err)
@@ -82,33 +68,77 @@ func starFixture(t *testing.T) (acc, t1, t2 regular.OptTable, g1, g2 wterm.Gluin
 	if g2, err = wterm.GluingFromBags([]int{0}, []int{0, 2}, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	return acc, t1, t2, g1, g2
+	return bases, g1, g2
 }
 
 func TestFoldOptOverflow(t *testing.T) {
 	pred := predicates.IndependentSet{}
-	acc, t1, t2, g1, g2 := starFixture(t)
-	acc, _, err := regular.FoldOpt(pred, g1, acc, t1, true)
+	bases, g1, g2 := starFixture(t)
+	var tabs [3]regular.OptTable
+	for i, base := range bases {
+		var err error
+		if tabs[i], err = regular.BaseOptTable(pred, base, min(i, 1), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc, _, err := regular.FoldOpt(pred, g1, tabs[0], tabs[1], true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := regular.FoldOpt(pred, g2, acc, t2, true); !errors.Is(err, regular.ErrOverflow) {
+	if _, _, err := regular.FoldOpt(pred, g2, acc, tabs[2], true); !errors.Is(err, regular.ErrOverflow) {
 		t.Fatalf("FoldOpt = %v, want ErrOverflow", err)
 	}
 }
 
+// TestFoldOptDenseOverflow pins ErrOverflow on every overflowing operation
+// of the dense path: the (max,+) sum of the star's two heavy leaves, and
+// the counting semiring's checked × and + in Fold and + in the accepting
+// reducer. A base table cannot overflow: each of its entries counts one per
+// enumerated selection.
 func TestFoldOptDenseOverflow(t *testing.T) {
 	c := regular.NewCached(predicates.IndependentSet{})
-	acc, t1, t2, g1, g2 := starFixture(t)
-	dacc := c.InternOptTable(acc)
-	d1 := c.InternOptTable(t1)
-	d2 := c.InternOptTable(t2)
-	dacc, _, err := c.FoldOptDense(c.InternGluing(g1), dacc, d1, true)
+	bases, g1, g2 := starFixture(t)
+	base := func(s regular.Semiring, i int) regular.Table {
+		t.Helper()
+		tab, err := c.Base(s, bases[i], min(i, 1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	acc, _, err := c.Fold(regular.MaxPlus, c.InternGluing(g1), base(regular.MaxPlus, 0), base(regular.MaxPlus, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.FoldOptDense(c.InternGluing(g2), dacc, d2, true); !errors.Is(err, regular.ErrOverflow) {
-		t.Fatalf("FoldOptDense = %v, want ErrOverflow", err)
+	if _, _, err := c.Fold(regular.MaxPlus, c.InternGluing(g2), acc, base(regular.MaxPlus, 2)); !errors.Is(err, regular.ErrOverflow) {
+		t.Fatalf("opt +: Fold = %v, want ErrOverflow", err)
+	}
+
+	// Folding leaf 1 into the root: the root's "0 unselected" class pairs
+	// with both of the leaf's "0 unselected" classes, so its count is a sum
+	// of two products.
+	withVals := func(tab regular.Table, vals ...int64) regular.Table {
+		if len(vals) != len(tab.Vals) {
+			t.Fatalf("table has %d entries, fixture gives %d values", len(tab.Vals), len(vals))
+		}
+		tab.Vals = vals
+		return tab
+	}
+	root, leaf := base(regular.Count, 0), base(regular.Count, 1)
+	for _, tc := range []struct {
+		name      string
+		acc, leaf []int64
+	}{
+		{"count ×", []int64{1 << 40, 1 << 40}, []int64{1 << 40, 1 << 40, 1 << 40}},
+		{"count +", []int64{1 << 62, 1 << 62}, []int64{1, 1, 1}},
+	} {
+		_, _, err := c.Fold(regular.Count, c.InternGluing(g1), withVals(root, tc.acc...), withVals(leaf, tc.leaf...))
+		if !errors.Is(err, regular.ErrOverflow) {
+			t.Errorf("%s: Fold = %v, want ErrOverflow", tc.name, err)
+		}
+	}
+	if _, _, _, err := c.ReduceAccepting(regular.Count, withVals(leaf, math.MaxInt64, 1, 1)); !errors.Is(err, regular.ErrOverflow) {
+		t.Errorf("count + in ReduceAccepting = %v, want ErrOverflow", err)
 	}
 }
 

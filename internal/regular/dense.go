@@ -6,33 +6,89 @@ import (
 	"repro/internal/wterm"
 )
 
-// Dense tables are the interned counterparts of ClassSet/OptTable/CountTable:
-// class IDs in canonical (key-sorted) order with parallel value slices. The
+// A dense Table is the interned counterpart of ClassSet/OptTable/CountTable:
+// class IDs in canonical (key-sorted) order with a parallel value slice. The
 // canonical order is established once per table with integer rank
-// comparisons (Interner.SortCanonical) instead of the per-fold string sort
-// the map-based tables performed, and fold accumulation indexes a dense
-// scratch array instead of hashing string keys.
+// comparisons instead of the per-fold string sort the map-based tables
+// performed, and fold accumulation indexes a dense scratch array instead of
+// hashing string keys. Decision, optimization and counting run the same
+// recursion (Theorem 6.1, Section 6); a Semiring says how values combine.
 
-// DenseSet is a decision-mode table: reachable class IDs in canonical order.
-type DenseSet struct {
-	IDs []ClassID
+// Semiring selects how a dense table's values combine: "times" joins the
+// values of a compatible (acc, child) pair, "plus" merges two values that
+// reach the same class.
+type Semiring uint8
+
+// The table algebras of the four DP modes.
+const (
+	Exists  Semiring = iota // decision: no values (Table.Vals is nil)
+	MaxPlus                 // maximization: checked +, then max
+	MinPlus                 // minimization: checked +, then min
+	Count                   // counting: checked ×, then checked +
+)
+
+// OptSemiring returns the optimization semiring for the given direction.
+func OptSemiring(maximize bool) Semiring {
+	if maximize {
+		return MaxPlus
+	}
+	return MinPlus
 }
 
-// DenseOpt is an OPT table: Weights[i] is the best weight of class IDs[i].
-type DenseOpt struct {
-	IDs     []ClassID
-	Weights []int64
+// Optimizes reports whether s keeps the best value per class, and so
+// produces back-pointers.
+func (s Semiring) Optimizes() bool { return s == MaxPlus || s == MinPlus }
+
+// times joins an acc value with a child value.
+func (s Semiring) times(a, b int64) (int64, error) {
+	switch s {
+	case MaxPlus, MinPlus:
+		return AddWeights(a, b)
+	case Count:
+		return mulCheck(a, b)
+	}
+	return 0, nil
 }
 
-// DenseCount is a COUNT table: Counts[i] is the assignment count of IDs[i].
-type DenseCount struct {
-	IDs    []ClassID
-	Counts []int64
+// plus merges v into an entry holding cur. replaced reports that v won, so
+// the entry's back-pointer moves to v's operands (ties keep the first).
+func (s Semiring) plus(cur, v int64) (sum int64, replaced bool, err error) {
+	switch s {
+	case MaxPlus:
+		if v > cur {
+			return v, true, nil
+		}
+	case MinPlus:
+		if v < cur {
+			return v, true, nil
+		}
+	case Count:
+		sum, err = addCheck(cur, v)
+		return sum, false, err
+	}
+	return cur, false, nil
 }
 
-// DenseBack is the ARGOPT back-pointer of one result class: the operand
-// classes that produced its best weight.
-type DenseBack struct {
+// Table is a dense DP table: IDs in canonical order and, except under
+// Exists, Vals[i] the value of class IDs[i] (best weight or count).
+type Table struct {
+	IDs  []ClassID
+	Vals []int64
+}
+
+// Index returns the position of id in the table, or -1 when it is absent.
+func (t Table) Index(id ClassID) int {
+	for i, x := range t.IDs {
+		if x == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// Back is the ARGOPT back-pointer of one result class: the operand classes
+// that produced its best value.
+type Back struct {
 	Acc   ClassID
 	Child ClassID
 }
@@ -76,171 +132,152 @@ func (c *Cached) ensureScratch(id ClassID) {
 	}
 }
 
-// FoldDecideDense computes the class set of f(acc, child); the dense
-// counterpart of FoldDecide, iterating both operands in canonical order.
-func (c *Cached) FoldDecideDense(g GluingID, acc, child DenseSet) (DenseSet, error) {
+// Fold computes the table of f(acc, child) under s: the dense counterpart
+// of FoldDecide, FoldOpt and FoldCount. Iteration order matches the
+// map-based folds (canonical order, first strictly-better pair wins), so
+// values, back-pointers and tie-breaking are identical. The optimization
+// semirings also return back[i], the operands of the result's IDs[i].
+func (c *Cached) Fold(s Semiring, g GluingID, acc, child Table) (Table, []Back, error) {
 	c.nextEpoch()
-	out := make([]ClassID, 0, len(acc.IDs))
-	for _, a := range acc.IDs {
-		for _, b := range child.IDs {
-			id, ok, err := c.ComposeIDs(g, a, b)
-			if err != nil {
-				return DenseSet{}, err
-			}
-			if !ok {
-				continue
-			}
-			c.ensureScratch(id)
-			if c.stamp[id] != c.epoch {
-				c.stamp[id] = c.epoch
-				out = append(out, id)
-			}
-		}
+	out := Table{IDs: make([]ClassID, 0, len(acc.IDs))}
+	if s != Exists {
+		out.Vals = make([]int64, 0, len(acc.IDs))
 	}
-	c.sortCanonical(out)
-	return DenseSet{IDs: out}, nil
-}
-
-// FoldOptDense computes OPT(f(acc, child)) and per-result back-pointers; the
-// dense counterpart of FoldOpt. Iteration order matches the map-based fold
-// (canonical order, first strictly-better pair wins), so back-pointers and
-// tie-breaking are identical.
-func (c *Cached) FoldOptDense(g GluingID, acc, child DenseOpt, maximize bool) (DenseOpt, map[ClassID]DenseBack, error) {
-	c.nextEpoch()
-	ids := make([]ClassID, 0, len(acc.IDs))
-	weights := make([]int64, 0, len(acc.IDs))
-	backs := make([]DenseBack, 0, len(acc.IDs))
+	var back []Back
+	if s.Optimizes() {
+		back = make([]Back, 0, len(acc.IDs))
+	}
 	for ai, a := range acc.IDs {
-		aw := acc.Weights[ai]
 		for bi, b := range child.IDs {
 			id, ok, err := c.ComposeIDs(g, a, b)
 			if err != nil {
-				return DenseOpt{}, nil, err
+				return Table{}, nil, err
 			}
 			if !ok {
 				continue
 			}
-			w, err := AddWeights(aw, child.Weights[bi])
-			if err != nil {
-				return DenseOpt{}, nil, err
+			var v int64
+			if s != Exists {
+				if v, err = s.times(acc.Vals[ai], child.Vals[bi]); err != nil {
+					return Table{}, nil, err
+				}
 			}
-			c.ensureScratch(id)
-			if c.stamp[id] != c.epoch {
-				c.stamp[id] = c.epoch
-				c.slot[id] = int32(len(ids))
-				ids = append(ids, id)
-				weights = append(weights, w)
-				backs = append(backs, DenseBack{Acc: a, Child: b})
-			} else if s := c.slot[id]; Better(w, weights[s], maximize) {
-				weights[s] = w
-				backs[s] = DenseBack{Acc: a, Child: b}
+			if back, err = c.put(s, &out, back, id, v, Back{Acc: a, Child: b}); err != nil {
+				return Table{}, nil, err
 			}
 		}
 	}
-	out := DenseOpt{IDs: ids, Weights: weights}
-	back := make(map[ClassID]DenseBack, len(ids))
-	for i, id := range ids {
-		back[id] = backs[i]
-	}
-	c.sortOpt(&out)
+	back = c.sortTable(&out, back)
 	return out, back, nil
 }
 
-// FoldCountDense computes COUNT(f(acc, child)) with overflow checking; the
-// dense counterpart of FoldCount.
-func (c *Cached) FoldCountDense(g GluingID, acc, child DenseCount) (DenseCount, error) {
+// put adds value v of class id to the table being built, merging it into
+// the entry an earlier pair of this epoch made for id. back, when non-nil,
+// records b for the entry's best value.
+func (c *Cached) put(s Semiring, t *Table, back []Back, id ClassID, v int64, b Back) ([]Back, error) {
+	c.ensureScratch(id)
+	if c.stamp[id] != c.epoch {
+		c.stamp[id] = c.epoch
+		c.slot[id] = int32(len(t.IDs))
+		t.IDs = append(t.IDs, id)
+		if t.Vals != nil {
+			t.Vals = append(t.Vals, v)
+		}
+		if back != nil {
+			back = append(back, b)
+		}
+		return back, nil
+	}
+	if t.Vals == nil {
+		return back, nil
+	}
+	i := c.slot[id]
+	sum, replaced, err := s.plus(t.Vals[i], v)
+	if err != nil {
+		return nil, err
+	}
+	t.Vals[i] = sum
+	if replaced && back != nil {
+		back[i] = b
+	}
+	return back, nil
+}
+
+// Base builds the table of a base graph under s: one entry per class, worth
+// its selection's weight (the best one per class) under the optimization
+// semirings and its number of selections under Count. ownerRank is the
+// terminal rank of the base's owner vertex. keep, when non-nil, admits only
+// the classes whose selection it accepts (the marked-set evaluation).
+func (c *Cached) Base(s Semiring, base *wterm.TerminalGraph, ownerRank int, keep func(Selection) bool) (Table, error) {
+	classes, err := c.homBase(base)
+	if err != nil {
+		return Table{}, err
+	}
+	c.reserveBase(len(classes))
 	c.nextEpoch()
-	ids := make([]ClassID, 0, len(acc.IDs))
-	counts := make([]int64, 0, len(acc.IDs))
-	for ai, a := range acc.IDs {
-		ac := acc.Counts[ai]
-		for bi, b := range child.IDs {
-			id, ok, err := c.ComposeIDs(g, a, b)
-			if err != nil {
-				return DenseCount{}, err
+	out := Table{IDs: make([]ClassID, 0, len(classes))}
+	if s != Exists {
+		out.Vals = make([]int64, 0, len(classes))
+	}
+	for _, bc := range classes {
+		if keep != nil && !keep(bc.Sel) {
+			continue
+		}
+		var v int64
+		switch {
+		case s.Optimizes():
+			if v, err = BaseWeight(base, ownerRank, bc.Sel); err != nil {
+				return Table{}, err
 			}
-			if !ok {
-				continue
-			}
-			prod, err := mulCheck(ac, child.Counts[bi])
-			if err != nil {
-				return DenseCount{}, err
-			}
-			c.ensureScratch(id)
-			if c.stamp[id] != c.epoch {
-				c.stamp[id] = c.epoch
-				c.slot[id] = int32(len(ids))
-				ids = append(ids, id)
-				counts = append(counts, prod)
-			} else {
-				s := c.slot[id]
-				counts[s], err = addCheck(counts[s], prod)
-				if err != nil {
-					return DenseCount{}, err
-				}
-			}
+		case s == Count:
+			v = 1
+		}
+		if _, err := c.put(s, &out, nil, c.Intern(bc.Class), v, Back{}); err != nil {
+			return Table{}, err
 		}
 	}
-	out := DenseCount{IDs: ids, Counts: counts}
-	c.sortCount(&out)
+	c.sortTable(&out, nil)
 	return out, nil
 }
 
-// sortOpt establishes canonical order on a freshly-folded OPT table. It
-// takes the write lock in shared mode: rank maintenance mutates the interner
-// even on the read path.
-func (c *Cached) sortOpt(t *DenseOpt) {
+// sortTable establishes canonical order on a freshly built table, permuting
+// Vals and back along with IDs. It takes the write lock in shared mode:
+// rank maintenance mutates the interner even on the read path.
+func (c *Cached) sortTable(t *Table, back []Back) []Back {
 	if c.mu != nil {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
 	if isCanonical(c.in, t.IDs) {
-		return
+		return back
 	}
 	ord := make([]int32, len(t.IDs))
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	c.in.ensureRank()
 	rank := c.in.rank
 	insertionSortBy(ord, func(i, j int32) bool { return rank[t.IDs[i]] < rank[t.IDs[j]] })
-	ids := make([]ClassID, len(t.IDs))
-	ws := make([]int64, len(t.IDs))
-	for i, o := range ord {
-		ids[i] = t.IDs[o]
-		ws[i] = t.Weights[o]
+	t.IDs = permute(t.IDs, ord)
+	if t.Vals != nil {
+		t.Vals = permute(t.Vals, ord)
 	}
-	t.IDs, t.Weights = ids, ws
+	if back != nil {
+		back = permute(back, ord)
+	}
+	return back
 }
 
-// sortCount establishes canonical order on a freshly-folded COUNT table
-// (write-locked in shared mode, as sortOpt).
-func (c *Cached) sortCount(t *DenseCount) {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	if isCanonical(c.in, t.IDs) {
-		return
-	}
-	ord := make([]int32, len(t.IDs))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	c.in.ensureRank()
-	rank := c.in.rank
-	insertionSortBy(ord, func(i, j int32) bool { return rank[t.IDs[i]] < rank[t.IDs[j]] })
-	ids := make([]ClassID, len(t.IDs))
-	cs := make([]int64, len(t.IDs))
+// permute returns xs reordered so that element i is xs[ord[i]].
+func permute[T any](xs []T, ord []int32) []T {
+	out := make([]T, len(ord))
 	for i, o := range ord {
-		ids[i] = t.IDs[o]
-		cs[i] = t.Counts[o]
+		out[i] = xs[o]
 	}
-	t.IDs, t.Counts = ids, cs
+	return out
 }
 
 // isCanonical reports whether ids are already rank-sorted (the common case
-// when folds reproduce previously seen tables).
+// when folds reproduce previously seen tables). It leaves in.rank current.
 func isCanonical(in *Interner, ids []ClassID) bool {
 	in.ensureRank()
 	for i := 1; i < len(ids); i++ {
@@ -261,27 +298,14 @@ func insertionSortBy(xs []int32, less func(a, b int32) bool) {
 	}
 }
 
-// --- accepting reducers (canonical iteration order, matching the map path) ---
-
-// AnyAcceptingDense reports whether some class in the set is accepting.
-func (c *Cached) AnyAcceptingDense(s DenseSet) (bool, error) {
-	for _, id := range s.IDs {
-		ok, err := c.AcceptingID(id)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// BestAcceptingDense returns the accepting class with the best weight
-// (found=false when no accepting class is reachable).
-func (c *Cached) BestAcceptingDense(t DenseOpt, maximize bool) (ClassID, int64, bool, error) {
-	best := NoClass
-	var bestW int64
+// ReduceAccepting folds the accepting classes of t under s, in canonical
+// order as the map path's AnyAccepting, BestAccepting and TotalAccepting.
+// It returns the deciding class and value: under Exists the first accepting
+// class (and stops there), under the optimization semirings the best one,
+// under Count the first one with the sum of all accepting counts. found is
+// false when no class accepts.
+func (c *Cached) ReduceAccepting(s Semiring, t Table) (best ClassID, val int64, found bool, err error) {
+	best = NoClass
 	for i, id := range t.IDs {
 		ok, err := c.AcceptingID(id)
 		if err != nil {
@@ -290,169 +314,21 @@ func (c *Cached) BestAcceptingDense(t DenseOpt, maximize bool) (ClassID, int64, 
 		if !ok {
 			continue
 		}
-		if best == NoClass || Better(t.Weights[i], bestW, maximize) {
-			best = id
-			bestW = t.Weights[i]
+		if s == Exists {
+			return id, 0, true, nil
 		}
-	}
-	return best, bestW, best != NoClass, nil
-}
-
-// TotalAcceptingDense sums the counts of accepting classes.
-func (c *Cached) TotalAcceptingDense(t DenseCount) (int64, error) {
-	var total int64
-	for i, id := range t.IDs {
-		ok, err := c.AcceptingID(id)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
+		if best == NoClass {
+			best, val = id, t.Vals[i]
 			continue
 		}
-		total, err = addCheck(total, t.Counts[i])
+		sum, replaced, err := s.plus(val, t.Vals[i])
 		if err != nil {
-			return 0, err
+			return NoClass, 0, false, err
+		}
+		val = sum
+		if replaced {
+			best = id
 		}
 	}
-	return total, nil
-}
-
-// --- base-table builders (dense counterparts of BaseClassSet & co.) ---
-
-// BaseDenseSet builds the decision table of a base graph.
-func (c *Cached) BaseDenseSet(base *wterm.TerminalGraph) (DenseSet, error) {
-	classes, err := c.homBase(base)
-	if err != nil {
-		return DenseSet{}, err
-	}
-	c.reserveBase(len(classes))
-	c.nextEpoch()
-	out := make([]ClassID, 0, len(classes))
-	for _, bc := range classes {
-		id := c.Intern(bc.Class)
-		c.ensureScratch(id)
-		if c.stamp[id] != c.epoch {
-			c.stamp[id] = c.epoch
-			out = append(out, id)
-		}
-	}
-	c.sortCanonical(out)
-	return DenseSet{IDs: out}, nil
-}
-
-// BaseDenseOpt builds OPT(base), keeping the best weight per class in
-// enumeration order (first-better wins, as BaseOptTable).
-func (c *Cached) BaseDenseOpt(base *wterm.TerminalGraph, ownerRank int, maximize bool) (DenseOpt, error) {
-	classes, err := c.homBase(base)
-	if err != nil {
-		return DenseOpt{}, err
-	}
-	c.reserveBase(len(classes))
-	c.nextEpoch()
-	ids := make([]ClassID, 0, len(classes))
-	weights := make([]int64, 0, len(classes))
-	for _, bc := range classes {
-		w, err := BaseWeight(base, ownerRank, bc.Sel)
-		if err != nil {
-			return DenseOpt{}, err
-		}
-		id := c.Intern(bc.Class)
-		c.ensureScratch(id)
-		if c.stamp[id] != c.epoch {
-			c.stamp[id] = c.epoch
-			c.slot[id] = int32(len(ids))
-			ids = append(ids, id)
-			weights = append(weights, w)
-		} else if s := c.slot[id]; Better(w, weights[s], maximize) {
-			weights[s] = w
-		}
-	}
-	out := DenseOpt{IDs: ids, Weights: weights}
-	c.sortOpt(&out)
-	return out, nil
-}
-
-// BaseDenseCount builds COUNT(base): one assignment per enumerated
-// selection.
-func (c *Cached) BaseDenseCount(base *wterm.TerminalGraph) (DenseCount, error) {
-	classes, err := c.homBase(base)
-	if err != nil {
-		return DenseCount{}, err
-	}
-	c.reserveBase(len(classes))
-	c.nextEpoch()
-	ids := make([]ClassID, 0, len(classes))
-	counts := make([]int64, 0, len(classes))
-	for _, bc := range classes {
-		id := c.Intern(bc.Class)
-		c.ensureScratch(id)
-		if c.stamp[id] != c.epoch {
-			c.stamp[id] = c.epoch
-			c.slot[id] = int32(len(ids))
-			ids = append(ids, id)
-			counts = append(counts, 1)
-		} else {
-			s := c.slot[id]
-			var err error
-			counts[s], err = addCheck(counts[s], 1)
-			if err != nil {
-				return DenseCount{}, err
-			}
-		}
-	}
-	out := DenseCount{IDs: ids, Counts: counts}
-	c.sortCount(&out)
-	return out, nil
-}
-
-// --- conversions to/from the map-based tables (wire boundaries, tests) ---
-
-// InternClassSet interns a map table into canonical dense form.
-func (c *Cached) InternClassSet(s ClassSet) DenseSet {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	out := make([]ClassID, 0, len(s))
-	for _, k := range s.Keys() {
-		out = append(out, c.in.InternKeyed(k, s[k]))
-	}
-	// Keys() is sorted, so out is already canonical.
-	return DenseSet{IDs: out}
-}
-
-// InternOptTable interns a map OPT table into canonical dense form.
-func (c *Cached) InternOptTable(t OptTable) DenseOpt {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	keys := t.Keys()
-	out := DenseOpt{
-		IDs:     make([]ClassID, 0, len(keys)),
-		Weights: make([]int64, 0, len(keys)),
-	}
-	for _, k := range keys {
-		out.IDs = append(out.IDs, c.in.InternKeyed(k, t[k].Class))
-		out.Weights = append(out.Weights, t[k].Weight)
-	}
-	return out
-}
-
-// InternCountTable interns a map COUNT table into canonical dense form.
-func (c *Cached) InternCountTable(t CountTable) DenseCount {
-	if c.mu != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	keys := t.Keys()
-	out := DenseCount{
-		IDs:    make([]ClassID, 0, len(keys)),
-		Counts: make([]int64, 0, len(keys)),
-	}
-	for _, k := range keys {
-		out.IDs = append(out.IDs, c.in.InternKeyed(k, t[k].Class))
-		out.Counts = append(out.Counts, t[k].Count)
-	}
-	return out
+	return best, val, best != NoClass, nil
 }

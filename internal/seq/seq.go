@@ -121,21 +121,6 @@ func (r *Runner) digestRoot(keys []string, value func(i int) int64) {
 	r.rootSum = h.Sum64()
 }
 
-// digestRootDense is digestRoot over an interned ID list.
-func (r *Runner) digestRootDense(ids []regular.ClassID, value func(i int) int64) {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i, id := range ids {
-		h.Write([]byte(r.cache.KeyOf(id)))
-		v := uint64(value(i))
-		for j := range buf {
-			buf[j] = byte(v >> uint(8*j))
-		}
-		h.Write(buf[:])
-	}
-	r.rootSum = h.Sum64()
-}
-
 func (r *Runner) noteKeys(keys []string) {
 	for _, k := range keys {
 		if len(k) > r.maxKey {
@@ -165,7 +150,12 @@ func (r *Runner) ownerRank(u int) int {
 // the set is a singleton and this is exactly h(G) being accepting.
 func (r *Runner) Decide() (bool, error) {
 	if r.cache != nil {
-		return r.decideDense()
+		tables, _, err := r.bottomUp(regular.Exists, nil)
+		if err != nil {
+			return false, err
+		}
+		_, _, ok, err := r.cache.ReduceAccepting(regular.Exists, tables[r.root])
+		return ok, err
 	}
 	children := r.deriv.Forest.Children()
 	tables := make([]regular.ClassSet, r.g.NumVertices())
@@ -200,36 +190,83 @@ func (r *Runner) Decide() (bool, error) {
 	return regular.AnyAccepting(r.pred, tables[r.root])
 }
 
-// decideDense is Decide on the interned dense algebra.
-func (r *Runner) decideDense() (bool, error) {
+// stage is one fold of an optimization pass: the child folded in, the
+// table the fold produced and that table's back-pointers.
+type stage struct {
+	child int
+	table regular.Table
+	back  []regular.Back
+}
+
+// bottomUp is the dense bottom-up pass of Decide, Optimize, Count and
+// EvaluateMarked under semiring s: each node's base table, folded with its
+// children's tables in post-order. It returns the node tables (only the
+// root's survives unless s optimizes) and, when s optimizes, each node's
+// fold stages for the top-down extraction. A non-nil marked set keeps only
+// the base classes whose selection agrees with it on the node's owned
+// elements, and leaves the run diagnostics alone.
+func (r *Runner) bottomUp(s regular.Semiring, marked *bitset.Set) ([]regular.Table, [][]stage, error) {
 	children := r.deriv.Forest.Children()
-	tables := make([]regular.DenseSet, r.g.NumVertices())
-	r.maxTab = 0
+	tables := make([]regular.Table, r.g.NumVertices())
+	var stages [][]stage
+	if s.Optimizes() {
+		stages = make([][]stage, len(tables))
+	}
+	if marked == nil {
+		r.maxTab = 0
+	}
 	for _, u := range r.deriv.Order {
 		base, err := r.deriv.Base(u)
 		if err != nil {
-			return false, err
+			return nil, nil, err
 		}
-		acc, err := r.cache.BaseDenseSet(base)
+		var keep func(regular.Selection) bool
+		if marked != nil {
+			want, err := r.markedBaseSelection(u, marked)
+			if err != nil {
+				return nil, nil, err
+			}
+			keep = func(sel regular.Selection) bool { return r.selectionMatchesOwned(u, sel, want) }
+		}
+		acc, err := r.cache.Base(s, base, r.ownerRank(u), keep)
 		if err != nil {
-			return false, err
+			return nil, nil, err
 		}
 		for _, c := range children[u] {
 			glue, err := r.deriv.FoldGluing(u, c)
 			if err != nil {
-				return false, err
+				return nil, nil, err
 			}
-			acc, err = r.cache.FoldDecideDense(r.cache.InternGluing(glue), acc, tables[c])
+			var back []regular.Back
+			acc, back, err = r.cache.Fold(s, r.cache.InternGluing(glue), acc, tables[c])
 			if err != nil {
-				return false, err
+				return nil, nil, err
 			}
-			tables[c] = regular.DenseSet{} // free child table
+			if stages != nil {
+				stages[u] = append(stages[u], stage{child: c, table: acc, back: back})
+			} else {
+				tables[c] = regular.Table{} // free child table
+			}
 		}
-		r.noteIDs(acc.IDs)
+		if marked == nil {
+			r.noteIDs(acc.IDs)
+		}
 		tables[u] = acc
 	}
-	r.digestRootDense(tables[r.root].IDs, func(int) int64 { return 0 })
-	return r.cache.AnyAcceptingDense(tables[r.root])
+	if marked == nil {
+		root := tables[r.root]
+		keys := make([]string, len(root.IDs))
+		for i, id := range root.IDs {
+			keys[i] = r.cache.KeyOf(id)
+		}
+		r.digestRoot(keys, func(i int) int64 {
+			if root.Vals == nil {
+				return 0
+			}
+			return root.Vals[i]
+		})
+	}
+	return tables, stages, nil
 }
 
 // OptResult is the outcome of Optimize: the optimal weight and the selected
@@ -250,7 +287,12 @@ type foldStage struct {
 // extraction of Algorithm 1, returning the optimal solution.
 func (r *Runner) Optimize(maximize bool) (OptResult, error) {
 	if r.cache != nil {
-		return r.optimizeDense(maximize)
+		s := regular.OptSemiring(maximize)
+		tables, stages, err := r.bottomUp(s, nil)
+		if err != nil {
+			return OptResult{}, err
+		}
+		return r.extract(s, tables, stages)
 	}
 	n := r.g.NumVertices()
 	children := r.deriv.Forest.Children()
@@ -333,52 +375,18 @@ func (r *Runner) Optimize(maximize bool) (OptResult, error) {
 	return res, nil
 }
 
-type denseStage struct {
-	child int
-	back  map[regular.ClassID]regular.DenseBack
-}
-
-// optimizeDense is Optimize on the interned dense algebra: ClassID-based
-// tables, back-pointers, and top-down extraction, with identical tie-breaking
-// to the map path (canonical iteration order, first strictly-better wins).
-func (r *Runner) optimizeDense(maximize bool) (OptResult, error) {
-	n := r.g.NumVertices()
-	children := r.deriv.Forest.Children()
-	tables := make([]regular.DenseOpt, n)
-	stages := make([][]denseStage, n)
-	r.maxTab = 0
-	for _, u := range r.deriv.Order {
-		base, err := r.deriv.Base(u)
-		if err != nil {
-			return OptResult{}, err
-		}
-		acc, err := r.cache.BaseDenseOpt(base, r.ownerRank(u), maximize)
-		if err != nil {
-			return OptResult{}, err
-		}
-		for _, c := range children[u] {
-			glue, err := r.deriv.FoldGluing(u, c)
-			if err != nil {
-				return OptResult{}, err
-			}
-			var back map[regular.ClassID]regular.DenseBack
-			acc, back, err = r.cache.FoldOptDense(r.cache.InternGluing(glue), acc, tables[c], maximize)
-			if err != nil {
-				return OptResult{}, err
-			}
-			stages[u] = append(stages[u], denseStage{child: c, back: back})
-		}
-		r.noteIDs(acc.IDs)
-		tables[u] = acc
-	}
-	r.digestRootDense(tables[r.root].IDs, func(i int) int64 { return tables[r.root].Weights[i] })
-	bestID, bestW, found, err := r.cache.BestAcceptingDense(tables[r.root], maximize)
+// extract is Optimize's top-down extraction on the dense tables of a
+// bottomUp pass under s, with identical tie-breaking to the map path
+// (canonical iteration order, first strictly-better wins).
+func (r *Runner) extract(s regular.Semiring, tables []regular.Table, stages [][]stage) (OptResult, error) {
+	bestID, bestW, found, err := r.cache.ReduceAccepting(s, tables[r.root])
 	if err != nil {
 		return OptResult{}, err
 	}
 	if !found {
 		return OptResult{}, nil
 	}
+	n := r.g.NumVertices()
 	res := OptResult{Found: true, Weight: bestW}
 	switch r.pred.SetKind() {
 	case regular.SetVertex:
@@ -395,7 +403,7 @@ func (r *Runner) optimizeDense(maximize bool) (OptResult, error) {
 		if !ok {
 			return OptResult{}, fmt.Errorf("seq: extraction reached node %d without a target class", u)
 		}
-		if !denseOptHas(tables[u], id) {
+		if tables[u].Index(id) < 0 {
 			return OptResult{}, fmt.Errorf("seq: node %d has no entry for its target class", u)
 		}
 		sel, err := r.cache.SelectionID(id)
@@ -407,25 +415,15 @@ func (r *Runner) optimizeDense(maximize bool) (OptResult, error) {
 		}
 		for s := len(stages[u]) - 1; s >= 0; s-- {
 			st := stages[u][s]
-			b, ok := st.back[id]
-			if !ok {
+			j := st.table.Index(id)
+			if j < 0 {
 				return OptResult{}, fmt.Errorf("seq: node %d stage %d missing back-pointer", u, s)
 			}
-			targetID[st.child] = b.Child
-			id = b.Acc
+			targetID[st.child] = st.back[j].Child
+			id = st.back[j].Acc
 		}
 	}
 	return res, nil
-}
-
-// denseOptHas reports whether the table carries an entry for id.
-func denseOptHas(t regular.DenseOpt, id regular.ClassID) bool {
-	for _, x := range t.IDs {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // markSelection records the elements owned by node u that the class declares
@@ -466,7 +464,12 @@ func (r *Runner) markSelectionSel(u int, sel regular.Selection, res *OptResult) 
 // satisfying assignments of the free set variable.
 func (r *Runner) Count() (int64, error) {
 	if r.cache != nil {
-		return r.countDense()
+		tables, _, err := r.bottomUp(regular.Count, nil)
+		if err != nil {
+			return 0, err
+		}
+		_, total, _, err := r.cache.ReduceAccepting(regular.Count, tables[r.root])
+		return total, err
 	}
 	children := r.deriv.Forest.Children()
 	tables := make([]regular.CountTable, r.g.NumVertices())
@@ -502,38 +505,6 @@ func (r *Runner) Count() (int64, error) {
 	return regular.TotalAccepting(r.pred, tables[r.root])
 }
 
-// countDense is Count on the interned dense algebra.
-func (r *Runner) countDense() (int64, error) {
-	children := r.deriv.Forest.Children()
-	tables := make([]regular.DenseCount, r.g.NumVertices())
-	r.maxTab = 0
-	for _, u := range r.deriv.Order {
-		base, err := r.deriv.Base(u)
-		if err != nil {
-			return 0, err
-		}
-		acc, err := r.cache.BaseDenseCount(base)
-		if err != nil {
-			return 0, err
-		}
-		for _, c := range children[u] {
-			glue, err := r.deriv.FoldGluing(u, c)
-			if err != nil {
-				return 0, err
-			}
-			acc, err = r.cache.FoldCountDense(r.cache.InternGluing(glue), acc, tables[c])
-			if err != nil {
-				return 0, err
-			}
-			tables[c] = regular.DenseCount{}
-		}
-		r.noteIDs(acc.IDs)
-		tables[u] = acc
-	}
-	r.digestRootDense(tables[r.root].IDs, func(i int) int64 { return tables[r.root].Counts[i] })
-	return r.cache.TotalAcceptingDense(tables[r.root])
-}
-
 // CheckMarked implements the optmarked problem of Section 6: given the
 // marked set (vertex IDs or edge IDs matching the predicate's kind), decide
 // whether it satisfies the predicate AND achieves the optimal weight.
@@ -559,7 +530,19 @@ func (r *Runner) CheckMarked(marked *bitset.Set, maximize bool) (bool, error) {
 // closed formula ψ of Section 6) and returns its total weight.
 func (r *Runner) EvaluateMarked(marked *bitset.Set) (bool, int64, error) {
 	if r.cache != nil {
-		return r.evaluateMarkedDense(marked)
+		tables, _, err := r.bottomUp(regular.Exists, marked)
+		if err != nil {
+			return false, 0, err
+		}
+		var weight int64
+		switch r.pred.SetKind() {
+		case regular.SetVertex:
+			marked.ForEach(func(v int) { weight += r.g.VertexWeight(v) })
+		case regular.SetEdge:
+			marked.ForEach(func(e int) { weight += r.g.EdgeWeight(e) })
+		}
+		_, _, ok, err := r.cache.ReduceAccepting(regular.Exists, tables[r.root])
+		return ok, weight, err
 	}
 	children := r.deriv.Forest.Children()
 	tables := make([]regular.ClassSet, r.g.NumVertices())
@@ -604,56 +587,6 @@ func (r *Runner) EvaluateMarked(marked *bitset.Set) (bool, int64, error) {
 		marked.ForEach(func(e int) { weight += r.g.EdgeWeight(e) })
 	}
 	ok, err := regular.AnyAccepting(r.pred, tables[r.root])
-	return ok, weight, err
-}
-
-// evaluateMarkedDense is EvaluateMarked on the interned dense algebra.
-func (r *Runner) evaluateMarkedDense(marked *bitset.Set) (bool, int64, error) {
-	children := r.deriv.Forest.Children()
-	tables := make([]regular.DenseSet, r.g.NumVertices())
-	var weight int64
-	for _, u := range r.deriv.Order {
-		base, err := r.deriv.Base(u)
-		if err != nil {
-			return false, 0, err
-		}
-		classes, err := r.pred.HomBase(base)
-		if err != nil {
-			return false, 0, err
-		}
-		want, err := r.markedBaseSelection(u, marked)
-		if err != nil {
-			return false, 0, err
-		}
-		// Intern the filtered base classes through the map form to dedupe and
-		// establish canonical order in one step.
-		filtered := make(regular.ClassSet)
-		for _, bc := range classes {
-			if r.selectionMatchesOwned(u, bc.Sel, want) {
-				filtered[bc.Class.Key()] = bc.Class
-			}
-		}
-		acc := r.cache.InternClassSet(filtered)
-		for _, c := range children[u] {
-			glue, err := r.deriv.FoldGluing(u, c)
-			if err != nil {
-				return false, 0, err
-			}
-			acc, err = r.cache.FoldDecideDense(r.cache.InternGluing(glue), acc, tables[c])
-			if err != nil {
-				return false, 0, err
-			}
-			tables[c] = regular.DenseSet{}
-		}
-		tables[u] = acc
-	}
-	switch r.pred.SetKind() {
-	case regular.SetVertex:
-		marked.ForEach(func(v int) { weight += r.g.VertexWeight(v) })
-	case regular.SetEdge:
-		marked.ForEach(func(e int) { weight += r.g.EdgeWeight(e) })
-	}
-	ok, err := r.cache.AnyAcceptingDense(tables[r.root])
 	return ok, weight, err
 }
 
